@@ -13,13 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional, Tuple
 
-from repro.engine.simulator import (
-    Completion,
-    Event,
-    SimulationError,
-    Simulator,
-    fastpath_enabled,
-)
+from repro.engine.simulator import Completion, Event, SimulationError, Simulator
 
 
 class QueueFullError(SimulationError):
@@ -49,13 +43,11 @@ class HWQueue:
         self._putters: Deque[Tuple[Event, Any]] = deque()
         self._ev_put = f"{name}.put"
         self._ev_get = f"{name}.get"
-        self._fast = fastpath_enabled()
         # Shared always-ready handle for immediate puts: a Completion with
         # time 0 is triggered at every cycle >= 0 and carries value None,
-        # which is observably identical to the fresh zero-latency
-        # Completion ``put`` used to allocate per call — so one handle per
-        # queue serves every immediate put for the simulation's lifetime.
-        # (``get`` cannot share: its value is the dequeued item.)
+        # so one handle per queue serves every immediate put for the
+        # simulation's lifetime. (``get`` cannot share: its value is the
+        # dequeued item.)
         self._put_done = Completion(sim, 0, None)
         # Statistics.
         self.total_puts = 0
@@ -102,17 +94,10 @@ class HWQueue:
     def put(self, item: Any):
         """Yieldable put: completes when the item has been accepted."""
         if not self._putters and len(self._items) < self.capacity:
-            # Immediate acceptance. The fast path returns the queue's
-            # shared pre-resolved handle — observably identical to an
-            # Event triggered before any waiter attaches (consumed
-            # synchronously either way), minus any per-put allocation.
-            if self._fast:
-                self._accept(item)
-                return self._put_done
-            event = Event(self.sim, name=self._ev_put)
+            # Immediate acceptance: return the queue's shared pre-resolved
+            # handle, which the putter consumes synchronously.
             self._accept(item)
-            event.trigger()
-            return event
+            return self._put_done
         event = Event(self.sim, name=self._ev_put)
         self.put_stall_count += 1
         self._putters.append((event, item))
@@ -121,11 +106,7 @@ class HWQueue:
     def get(self):
         """Yieldable get: completes with the dequeued item."""
         if self._items:
-            if self._fast:
-                return Completion(self.sim, self.sim.now, self._release())
-            event = Event(self.sim, name=self._ev_get)
-            event.trigger(self._release())
-            return event
+            return Completion(self.sim, self.sim.now, self._release())
         event = Event(self.sim, name=self._ev_get)
         self._getters.append(event)
         return event

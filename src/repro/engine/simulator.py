@@ -8,42 +8,22 @@ Processes are Python generators that ``yield``:
 
 * an ``int`` or :class:`Delay` — resume after that many cycles;
 * an :class:`Event` — resume when the event triggers (receiving its value);
-* a :class:`Completion` — a pre-resolved wait handle (fast-path hits);
+* a :class:`Completion` — a pre-resolved wait handle (hits, pipe transfers);
 * another :class:`Process` — resume when that process finishes (a *join*).
 
 Sub-routines that follow the same protocol are invoked with ``yield from``.
 
-Two interchangeable kernels implement the event queue:
-
-* :class:`BucketSimulator` (the default) — a calendar/bucket queue tuned for
-  the short fixed latencies that dominate this simulation (DRAM timings,
-  cache hit latencies). Each occupied cycle owns one FIFO bucket; only the
-  *distinct* busy cycles go through a priority queue (a heap of plain
-  ints), so events sharing a cycle cost a dict lookup plus a list append —
-  no comparisons, no tuple construction, no sequence counter. Zero-delay
-  events (event triggers, same-cycle handshakes) append to the bucket
-  currently being drained, so they run this cycle without ever touching
-  the priority queue.
-* :class:`HeapqSimulator` — the original ``heapq`` kernel, kept as a
-  reference implementation for determinism cross-checks.
-* :class:`VectorSimulator` — the array-batched kernel: per-cycle event
-  state lives in flat interleaved columns (callback, args, callback,
-  args, ...) instead of per-event pair tuples, and the run loops
-  batch-advance a whole epoch — every completion scheduled for the
-  current cycle — in one zip-paired pass over the columns.
-
-All kernels process same-cycle events in strict scheduling order (a stable
-FIFO within a cycle), so they produce *identical* simulations. Select the
-kernel with the ``REPRO_ENGINE`` environment variable (``bucket``,
-``heapq``, or ``vector``); instantiating :class:`Simulator` dispatches to
-the configured kernel.
+The event queue is a calendar/bucket queue tuned for the short fixed
+latencies that dominate this simulation (DRAM timings, cache hit
+latencies); see :class:`Simulator`. Same-cycle events run in strict
+scheduling order (a stable FIFO within a cycle), which keeps hardware
+handshakes — and therefore cycle counts and trace digests — deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -76,18 +56,6 @@ class StallReport(SimulationError):
         self.occupancies = dict(occupancies or {})
         #: Injected faults that had fired by the stall (FiredFault list).
         self.faults = list(faults or [])
-
-
-def fastpath_enabled() -> bool:
-    """Whether inline :class:`Completion` fast paths are enabled.
-
-    Controlled by ``REPRO_FASTPATH`` (default on; ``0``/``off``/``no``/
-    ``false`` disable it). Components read this once at construction, so
-    flipping the variable affects newly built memory systems only — which
-    is exactly what the on/off identity tests rely on.
-    """
-    raw = os.environ.get("REPRO_FASTPATH", "1").strip().lower()
-    return raw not in ("0", "off", "no", "false")
 
 
 class Delay:
@@ -154,28 +122,25 @@ class Completion:
     """A pre-resolved wait handle: the value is known at creation time and
     becomes observable at absolute cycle ``time``.
 
-    This is the fast-path substitute for the ``Event`` + ``schedule(latency,
-    event.trigger, value)`` idiom used when a component already knows both
-    the result and the latency at submit time (cache hits, TLB hits, pipe
-    transfers). Creating one performs **no** scheduling; a waiter that
-    yields it either consumes it synchronously (``time <= now``) or costs a
-    single bucket append for the remaining delay — versus the slow path's
-    two queue insertions (the deferred ``trigger`` plus the waiter wakeup
-    it schedules).
+    Components return one instead of an :class:`Event` when they already
+    know both the result and the latency at submit time (cache hits, TLB
+    hits, queue handshakes, pipe transfers). Creating one performs **no**
+    scheduling; a waiter that yields it either consumes it synchronously
+    (``time <= now``) or costs a single bucket append for the remaining
+    delay.
 
     The protocol mirrors the waited-on half of :class:`Event`: ``triggered``
     (computed from the clock, so handles held across cycles — e.g. store
-    buffer entries — observe the same transition the Event would make),
+    buffer entries — observe the same transition an Event would make),
     ``value``, and ``add_callback``. It cannot be triggered; it already was.
 
     Delivery of a *pending* completion is **hop-preserving**: the waiter is
     woken through ``schedule(delay, _deliver)`` followed by the same
     zero-delay hop ``Event.trigger`` performs, so it lands at the same
-    intra-cycle bucket position as the legacy ``schedule(latency,
-    event.trigger)`` idiom. That is what keeps same-cycle arbitration (and
-    therefore cycle counts and trace digests) bit-identical to the
-    event-based slow path; a direct single-append delivery measurably
-    reorders DRAM scheduling decisions.
+    intra-cycle bucket position as a ``schedule(latency, event.trigger)``
+    armed at the same moment. The pinned cycle counts and trace digests
+    depend on that intra-cycle order: a direct single-append delivery
+    measurably reorders DRAM scheduling decisions.
     """
 
     __slots__ = ("sim", "time", "value")
@@ -241,8 +206,8 @@ class Process(Event):
             if cls is Completion:
                 # Ready completions are consumed synchronously (like an
                 # already-triggered Event); pending ones resume through the
-                # hop-preserving delivery so intra-cycle ordering matches
-                # the event-based slow path exactly.
+                # hop-preserving delivery, which fixes their intra-cycle
+                # position (see Completion).
                 remaining = item.time - sim.now
                 if remaining <= 0:
                     value = item.value
@@ -264,18 +229,24 @@ class Process(Event):
 
 
 class Simulator:
-    """The event queue and clock (facade over the configured kernel).
+    """The event queue and clock: a calendar queue, one FIFO bucket per
+    occupied cycle.
 
-    ``Simulator()`` instantiates the kernel selected by the ``REPRO_ENGINE``
-    environment variable (``bucket``, the default, ``heapq``, or
-    ``vector``); all subclasses share this public API. Events scheduled for
-    the same cycle run in scheduling order (a stable FIFO within a cycle),
-    which keeps hardware handshakes deterministic — and makes every kernel
-    produce bit-identical simulations.
+    Buckets live in a dict keyed by absolute time; a heap of plain ints
+    orders only the *distinct* occupied cycles. Scheduling into a busy
+    cycle is a dict lookup plus a list append (no comparisons, no tuple
+    construction, no sequence counter); the heap is touched once per
+    cycle, not once per event. Draining iterates the bucket with the
+    C-level list iterator, which picks up entries appended mid-drain —
+    that is the zero-delay fast path: triggers and same-cycle handshakes
+    run this cycle without ever touching the priority queue.
+
+    Events scheduled for the same cycle run in scheduling order (a stable
+    FIFO within a cycle), which keeps hardware handshakes deterministic.
+
+    Invariants: ``_times`` holds exactly the keys of ``_buckets`` (each
+    once), and every bucket's time is ``>= now``.
     """
-
-    now: int
-    events_processed: int
 
     #: Optional stall diagnostician (a
     #: :class:`~repro.engine.watchdog.GCWatchdog`). Class-level ``None``
@@ -283,108 +254,6 @@ class Simulator:
     #: attribute load and a ``None`` check before raising, and nothing on
     #: the hot event loop ever touches it.
     diagnostics = None
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
-        if cls is Simulator:
-            engine = os.environ.get("REPRO_ENGINE", "bucket").strip().lower()
-            impl = ENGINES.get(engine)
-            if impl is None:
-                raise SimulationError(
-                    f"unknown REPRO_ENGINE {engine!r}; "
-                    f"expected one of {sorted(ENGINES)}"
-                )
-            return object.__new__(impl)
-        return object.__new__(cls)
-
-    # -- shared helpers ----------------------------------------------------
-
-    def schedule(self, delay: int, callback: Callable, *args: Any) -> None:
-        """Run ``callback(*args)`` ``delay`` cycles from now."""
-        raise NotImplementedError
-
-    def at(self, time: int, callback: Callable, *args: Any) -> None:
-        """Run ``callback(*args)`` at absolute cycle ``time``."""
-        self.schedule(time - self.now, callback, *args)
-
-    def event(self, name: str = "") -> Event:
-        """Create a fresh one-shot event bound to this simulator."""
-        return Event(self, name=name)
-
-    def process(self, gen: Generator, name: str = "") -> Process:
-        """Start a generator as a process; returns its completion event."""
-        return Process(self, gen, name=name)
-
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Run until the queue is empty, ``until`` cycles, or ``max_events``.
-
-        Returns the final simulation time. If ``until`` is given, the clock is
-        advanced to exactly ``until`` even if the queue drains earlier.
-        """
-        raise NotImplementedError
-
-    def run_until(self, event: Event, max_events: Optional[int] = None) -> Any:
-        """Run until ``event`` triggers; returns its value.
-
-        Raises :class:`SimulationError` if the queue drains first (deadlock).
-        """
-        raise NotImplementedError
-
-    def _stall(self, event: Event) -> StallReport:
-        """Build the exception for a drained queue with ``event`` pending.
-
-        The one diagnostic site shared by both kernels (and their budgeted
-        variants). Keeps the historical ``deadlock: event queue empty``
-        message as the prefix; when a watchdog is attached as
-        :attr:`diagnostics` it appends the culprit diagnosis.
-        """
-        message = (f"deadlock: event queue empty at cycle {self.now} "
-                   f"while waiting for {event!r}")
-        diagnostics = self.diagnostics
-        if diagnostics is not None:
-            return diagnostics.diagnose(self, event, message)
-        return StallReport(message, cycle=self.now, waiting_for=repr(event))
-
-    def discard_pending(self) -> int:
-        """Drop every scheduled event; returns how many were discarded.
-
-        Used by the driver's safety net when abandoning a wedged hardware
-        collection: residual callbacks from the dead unit must never fire
-        into the restored heap.
-        """
-        raise NotImplementedError
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events currently scheduled."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(now={self.now}, "
-            f"pending={self.pending_events})"
-        )
-
-
-class BucketSimulator(Simulator):
-    """Calendar-queue kernel: one FIFO bucket per occupied cycle.
-
-    Buckets live in a dict keyed by absolute time; a heap of plain ints
-    orders only the *distinct* occupied cycles. Scheduling into a busy
-    cycle is a dict lookup plus a list append (no comparisons, no tuple
-    construction); the heap is touched once per cycle, not once per event,
-    and its int comparisons are far cheaper than the ``(time, seq, ...)``
-    tuple comparisons of the heapq kernel. Draining iterates the bucket
-    with the C-level list iterator, which picks up entries appended
-    mid-drain — that is the zero-delay fast path: triggers and same-cycle
-    handshakes run this cycle without ever touching the priority queue.
-
-    Invariants: ``_times`` holds exactly the keys of ``_buckets`` (each
-    once), and every bucket's time is ``>= now``.
-    """
 
     def __init__(self) -> None:
         self.now = 0
@@ -404,11 +273,45 @@ class BucketSimulator(Simulator):
         else:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
 
+    def at(self, time: int, callback: Callable, *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute cycle ``time``."""
+        self.schedule(time - self.now, callback, *args)
+
+    def event(self, name: str = "") -> Event:
+        """Create a fresh one-shot event bound to this simulator."""
+        return Event(self, name=name)
+
+    def process(self, gen: Generator, name: str = "") -> Process:
+        """Start a generator as a process; returns its completion event."""
+        return Process(self, gen, name=name)
+
+    def _stall(self, event: Event) -> StallReport:
+        """Build the exception for a drained queue with ``event`` pending.
+
+        The one diagnostic site shared by :meth:`run_until` and its
+        budgeted variant. Keeps the historical ``deadlock: event queue
+        empty`` message as the prefix; when a watchdog is attached as
+        :attr:`diagnostics` it appends the culprit diagnosis.
+        """
+        message = (f"deadlock: event queue empty at cycle {self.now} "
+                   f"while waiting for {event!r}")
+        diagnostics = self.diagnostics
+        if diagnostics is not None:
+            return diagnostics.diagnose(self, event, message)
+        return StallReport(message, cycle=self.now, waiting_for=repr(event))
+
     @property
     def pending_events(self) -> int:
+        """Number of events currently scheduled."""
         return sum(len(bucket) for bucket in self._buckets.values())
 
     def discard_pending(self) -> int:
+        """Drop every scheduled event; returns how many were discarded.
+
+        Used by the driver's safety net when abandoning a wedged hardware
+        collection: residual callbacks from the dead unit must never fire
+        into the restored heap.
+        """
         dropped = self.pending_events
         self._buckets.clear()
         self._times.clear()
@@ -423,6 +326,12 @@ class BucketSimulator(Simulator):
         else:
             del self._buckets[time]
 
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(now={self.now}, "
+            f"pending={self.pending_events})"
+        )
+
     # -- run loops ---------------------------------------------------------
 
     def run(
@@ -430,6 +339,11 @@ class BucketSimulator(Simulator):
         until: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> int:
+        """Run until the queue is empty, ``until`` cycles, or ``max_events``.
+
+        Returns the final simulation time. If ``until`` is given, the clock is
+        advanced to exactly ``until`` even if the queue drains earlier.
+        """
         if until is not None and self.now > until:
             return self.now
         if max_events is not None:
@@ -450,8 +364,8 @@ class BucketSimulator(Simulator):
                     for i, (callback, args) in enumerate(bucket):
                         callback(*args)
                 except BaseException:
-                    # Parity with heapq: the failing event was dequeued but
-                    # not counted; later same-cycle events stay queued.
+                    # The failing event was dequeued but not counted; later
+                    # same-cycle events stay queued.
                     self._retire(time, bucket, i + 1)
                     self.events_processed -= 1
                     raise
@@ -478,8 +392,12 @@ class BucketSimulator(Simulator):
                     i += 1
                     budget -= 1
                     callback(*args)
-            finally:
+            except BaseException:
+                # As in run(): the failing event is dequeued, not counted.
                 self._retire(time, bucket, i)
+                self.events_processed -= 1
+                raise
+            self._retire(time, bucket, i)
         if budget <= 0 and self._times:
             raise SimulationError(
                 f"max_events={max_events} exhausted at cycle {self.now}; "
@@ -487,6 +405,10 @@ class BucketSimulator(Simulator):
             )
 
     def run_until(self, event: Event, max_events: Optional[int] = None) -> Any:
+        """Run until ``event`` triggers; returns its value.
+
+        Raises :class:`StallReport` if the queue drains first (deadlock).
+        """
         if max_events is not None:
             return self._run_until_budgeted(event, max_events)
         buckets, times = self._buckets, self._times
@@ -523,343 +445,20 @@ class BucketSimulator(Simulator):
             bucket = buckets[time]
             i = 0
             try:
-                while i < len(bucket):
+                while i < len(bucket) and budget > 0:
                     if event.triggered:
                         break
-                    if budget <= 0:
-                        raise SimulationError(
-                            f"max_events={max_events} exhausted at "
-                            f"cycle {self.now}"
-                        )
                     budget -= 1
                     callback, args = bucket[i]
                     i += 1
                     callback(*args)
-            finally:
-                self._retire(time, bucket, i)
-        return event.value
-
-
-class HeapqSimulator(Simulator):
-    """The original global-``heapq`` kernel (determinism reference).
-
-    Kept selectable via ``REPRO_ENGINE=heapq`` so the bucket kernel can be
-    cross-checked: both must produce identical cycle counts and
-    ``events_processed`` for the same workload.
-    """
-
-    def __init__(self) -> None:
-        self.now = 0
-        self._queue: List[Tuple[int, int, Callable, tuple]] = []
-        self._seq = 0
-        self.events_processed = 0
-
-    def schedule(self, delay: int, callback: Callable, *args: Any) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, callback, args))
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
-
-    def discard_pending(self) -> int:
-        dropped = len(self._queue)
-        self._queue.clear()
-        return dropped
-
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        queue = self._queue
-        if max_events is None:
-            # Unbudgeted hot loop: no per-event budget bookkeeping. The
-            # heappop and the processed counter are hoisted to locals; the
-            # counter is written back even when a callback raises so the
-            # exception-path accounting matches the budgeted loop.
-            pop = heapq.heappop
-            processed = self.events_processed
-            try:
-                while queue:
-                    time = queue[0][0]
-                    if until is not None and time > until:
-                        break
-                    _time, _seq, callback, args = pop(queue)
-                    self.now = time
-                    callback(*args)
-                    processed += 1
-            finally:
-                self.events_processed = processed
-        else:
-            budget = max_events
-            while queue and budget > 0:
-                time = queue[0][0]
-                if until is not None and time > until:
-                    break
-                _time, _seq, callback, args = heapq.heappop(queue)
-                self.now = time
-                callback(*args)
-                self.events_processed += 1
-                budget -= 1
-            if budget <= 0 and queue:
-                raise SimulationError(
-                    f"max_events={max_events} exhausted at cycle {self.now}; "
-                    "simulation is likely livelocked"
-                )
-        if until is not None and self.now < until:
-            self.now = until
-        return self.now
-
-    def run_until(self, event: Event, max_events: Optional[int] = None) -> Any:
-        budget = max_events
-        queue = self._queue
-        pop = heapq.heappop
-        processed = self.events_processed
-        try:
-            while not event.triggered:
-                if not queue:
-                    raise self._stall(event)
-                if budget is not None:
-                    if budget <= 0:
-                        raise SimulationError(
-                            f"max_events={max_events} exhausted at "
-                            f"cycle {self.now}"
-                        )
-                    budget -= 1
-                time, _seq, callback, args = pop(queue)
-                self.now = time
-                callback(*args)
-                processed += 1
-        finally:
-            self.events_processed = processed
-        return event.value
-
-
-class VectorSimulator(Simulator):
-    """Array-batched kernel: interleaved event columns, epoch batch drain.
-
-    Where :class:`BucketSimulator` stores one ``(callback, args)`` pair
-    tuple per event, this kernel stores each cycle's events as a single
-    flat column ``[cb0, args0, cb1, args1, ...]``: scheduling into a busy
-    cycle is two list appends with **no** per-event tuple allocation, and
-    handles into the column are plain integer offsets (the exception and
-    ``run_until`` partial-drain paths slice by item index, not by entry).
-
-    The run loops advance one *epoch* — every completion scheduled for the
-    current cycle — per heap pop: ``zip(it, it)`` over the column's list
-    iterator re-pairs callback and args at C speed and dispatches them in
-    one pass. The dispatch "handler table" is the callback column itself:
-    each slot holds the pre-bound handler for that completion's type
-    (``Process._step`` for coroutine resumes, ``Event.trigger`` for
-    deferred handshakes, ``Completion._deliver`` for fast-path handles,
-    ``DRAMController._pump`` for scheduler wakeups), so batch dispatch is
-    one indirect call per event with zero re-dispatch logic.
-
-    Mid-epoch appends land on the live column and are picked up by the
-    same iterator — the zero-delay fast path, identical to the bucket
-    kernel's — which is what keeps intra-cycle FIFO order, and therefore
-    cycle counts and trace digests, bit-identical to the other kernels.
-
-    Invariants: ``_times`` holds exactly the keys of ``_buckets`` (each
-    once), every column's time is ``>= now``, and every column holds an
-    even number of items (callback/args interleaving is never torn:
-    ``schedule`` appends both or neither, and the drains consume pairs).
-    """
-
-    def __init__(self) -> None:
-        self.now = 0
-        self.events_processed = 0
-        self._buckets: dict = {}
-        self._times: List[int] = []
-
-    def schedule(self, delay: int, callback: Callable, *args: Any) -> None:
-        """Run ``callback(*args)`` ``delay`` cycles from now."""
-        time = self.now + delay
-        bucket = self._buckets.get(time)
-        if bucket is not None:
-            bucket.append(callback)
-            bucket.append(args)
-        elif delay >= 0:
-            self._buckets[time] = [callback, args]
-            heapq.heappush(self._times, time)
-        else:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-
-    @property
-    def pending_events(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values()) // 2
-
-    def discard_pending(self) -> int:
-        dropped = self.pending_events
-        self._buckets.clear()
-        self._times.clear()
-        return dropped
-
-    def _retire(self, time: int, bucket: list, consumed: int) -> None:
-        """Account for a partial drain (``consumed`` column *items*, i.e.
-        ``2 *`` events) and keep the remainder queued."""
-        del bucket[:consumed]
-        self.events_processed += consumed // 2
-        if bucket:
-            heapq.heappush(self._times, time)
-        else:
-            del self._buckets[time]
-
-    def _requeue_rest(self, time: int, bucket: list, rest: list,
-                      head: Optional[tuple]) -> int:
-        """Replace a partially zip-drained column with its unexecuted tail.
-
-        ``rest`` is what the column iterator had not yet consumed; ``head``
-        is the already-consumed-but-unexecuted current pair (``run_until``
-        stopping on a trigger), or ``None`` when the current pair executed
-        and failed (exception parity: dequeued but not counted). Returns
-        the number of *executed* events, matching the bucket kernel's
-        ``_retire`` accounting exactly.
-        """
-        executed = (len(bucket) - len(rest)) // 2 - 1
-        if head is not None:
-            rest[:0] = head
-        if rest:
-            self._buckets[time] = rest
-            heapq.heappush(self._times, time)
-        else:
-            del self._buckets[time]
-        return executed
-
-    # -- run loops ---------------------------------------------------------
-
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        if until is not None and self.now > until:
-            return self.now
-        if max_events is not None:
-            self._run_budgeted(until, max_events)
-        else:
-            # Unbudgeted hot loop: one epoch per heap pop, no per-event
-            # bookkeeping — the zip pairs the columns at C speed.
-            buckets, times = self._buckets, self._times
-            pop = heapq.heappop
-            while times:
-                time = times[0]
-                if until is not None and time > until:
-                    break
-                pop(times)
-                self.now = time
-                bucket = buckets[time]
-                it = iter(bucket)
-                try:
-                    for callback, args in zip(it, it):
-                        callback(*args)
-                except BaseException:
-                    # Parity with bucket/heapq: the failing event was
-                    # dequeued but not counted; later same-cycle events
-                    # stay queued.
-                    self.events_processed += self._requeue_rest(
-                        time, bucket, list(it), None)
-                    raise
-                self.events_processed += len(bucket) // 2
-                del buckets[time]
-        if until is not None and self.now < until:
-            self.now = until
-        return self.now
-
-    def _run_budgeted(self, until: Optional[int], max_events: int) -> None:
-        budget = max_events
-        buckets, times = self._buckets, self._times
-        while times and budget > 0:
-            time = times[0]
-            if until is not None and time > until:
-                return
-            heapq.heappop(times)
-            self.now = time
-            bucket = buckets[time]
-            i = 0
-            try:
-                while i < len(bucket) and budget > 0:
-                    callback = bucket[i]
-                    args = bucket[i + 1]
-                    i += 2
-                    budget -= 1
-                    callback(*args)
-            finally:
-                self._retire(time, bucket, i)
-        if budget <= 0 and self._times:
-            raise SimulationError(
-                f"max_events={max_events} exhausted at cycle {self.now}; "
-                "simulation is likely livelocked"
-            )
-
-    def run_until(self, event: Event, max_events: Optional[int] = None) -> Any:
-        if max_events is not None:
-            return self._run_until_budgeted(event, max_events)
-        buckets, times = self._buckets, self._times
-        pop = heapq.heappop
-        while not event.triggered:
-            if not times:
-                raise self._stall(event)
-            time = pop(times)
-            self.now = time
-            bucket = buckets[time]
-            it = iter(bucket)
-            try:
-                for callback, args in zip(it, it):
-                    if event.triggered:
-                        # The current pair has not executed: requeue it at
-                        # the head of the remainder (same stop point as the
-                        # bucket kernel's index-based retire).
-                        self.events_processed += self._requeue_rest(
-                            time, bucket, list(it), (callback, args))
-                        return event.value
-                    callback(*args)
             except BaseException:
-                self.events_processed += self._requeue_rest(
-                    time, bucket, list(it), None)
-                raise
-            self.events_processed += len(bucket) // 2
-            del buckets[time]
-        return event.value
-
-    def _run_until_budgeted(self, event: Event, max_events: int) -> Any:
-        budget = max_events
-        buckets, times = self._buckets, self._times
-        while not event.triggered:
-            if not times:
-                raise self._stall(event)
-            time = heapq.heappop(times)
-            self.now = time
-            bucket = buckets[time]
-            i = 0
-            try:
-                while i < len(bucket):
-                    if event.triggered:
-                        break
-                    if budget <= 0:
-                        raise SimulationError(
-                            f"max_events={max_events} exhausted at "
-                            f"cycle {self.now}"
-                        )
-                    budget -= 1
-                    callback = bucket[i]
-                    args = bucket[i + 1]
-                    i += 2
-                    callback(*args)
-            finally:
                 self._retire(time, bucket, i)
+                self.events_processed -= 1
+                raise
+            self._retire(time, bucket, i)
+            if bucket and budget <= 0 and not event.triggered:
+                raise SimulationError(
+                    f"max_events={max_events} exhausted at cycle {self.now}"
+                )
         return event.value
-
-
-#: Kernel registry for the ``REPRO_ENGINE`` environment variable. Growing
-#: it automatically grows the unknown-engine error message (``Simulator``
-#: formats ``sorted(ENGINES)`` at raise time), so a new kernel never ships
-#: with a stale kernel list in the diagnostic.
-ENGINES = {
-    "bucket": BucketSimulator,
-    "heapq": HeapqSimulator,
-    "vector": VectorSimulator,
-}

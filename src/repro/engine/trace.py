@@ -15,15 +15,15 @@ the same per-request visibility. This module provides it:
   the raw event stream.
 * Exporters — Chrome ``trace_event`` JSON (loadable in chrome://tracing
   and Perfetto), flat JSONL, and CSV — plus :func:`trace_digest`, the
-  sha256 fingerprint the determinism tests compare across simulation
-  kernels and cache states.
+  sha256 fingerprint the determinism tests compare across reruns and
+  cache states and pin as absolute constants.
 
 Every event is a plain tuple ``(cycle, category, *fields)`` where all
 fields are ints or strings, so the stream is trivially picklable and its
 ``repr`` is canonical. Events are appended from simulation callbacks,
-which both kernels (``REPRO_ENGINE=bucket|heapq``) execute in identical
-order — the trace stream is therefore bit-identical across kernels and is
-usable as a first-class test oracle.
+which the kernel executes in a fixed order (a stable FIFO within each
+cycle) — the trace stream is therefore bit-identical from run to run and
+is usable as a first-class test oracle.
 
 Event taxonomy (category -> fields):
 
@@ -105,7 +105,7 @@ def trace_digest(events: Iterable[TraceEvent]) -> str:
 
     ``repr`` of int/str tuples is canonical across processes and platforms,
     so equal streams always digest equally — the property the determinism
-    tests assert across ``REPRO_ENGINE`` kernels and warm/cold heap caches.
+    tests assert across reruns and warm/cold heap caches.
     """
     h = hashlib.sha256()
     for event in events:

@@ -271,9 +271,28 @@ def get_cache() -> HeapBuildCache:
     """The process-wide cache, configured from the environment on first use."""
     global _GLOBAL
     if _GLOBAL is None:
-        entries = int(os.environ.get("REPRO_HEAP_CACHE_ENTRIES", DEFAULT_ENTRIES))
-        _GLOBAL = HeapBuildCache(entries=entries, disk_dir=_cache_dir_from_env())
+        _GLOBAL = HeapBuildCache(entries=_entries_from_env(),
+                                 disk_dir=_cache_dir_from_env())
     return _GLOBAL
+
+
+def _entries_from_env() -> int:
+    """``REPRO_HEAP_CACHE_ENTRIES``: a positive integer (unset → default).
+
+    Raises :class:`ValueError` naming the variable and the value it got.
+    """
+    raw = os.environ.get("REPRO_HEAP_CACHE_ENTRIES", "").strip()
+    if not raw:
+        return DEFAULT_ENTRIES
+    try:
+        entries = int(raw)
+    except ValueError:
+        entries = 0
+    if entries < 1:
+        raise ValueError(
+            f"REPRO_HEAP_CACHE_ENTRIES must be a positive integer, "
+            f"got {raw!r}")
+    return entries
 
 
 def reset_cache() -> None:

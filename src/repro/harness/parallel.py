@@ -58,9 +58,9 @@ fault will genuinely ``os._exit`` it — so crash/hang testing wants
 ``jobs>=2``.
 
 Every figure's rendered table is hashed into ``FigureRun.digest`` — the
-fingerprint the determinism tests compare across kernels
-(``REPRO_ENGINE=bucket`` vs ``heapq``), across ``--jobs`` settings, and
-across faulted-and-retried vs clean runs.
+fingerprint the determinism tests compare across ``--jobs`` settings,
+across sharded vs inline runs, and across faulted-and-retried vs clean
+runs.
 """
 
 from __future__ import annotations

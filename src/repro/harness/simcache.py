@@ -20,10 +20,6 @@ The cell key covers, via sha256 over canonical JSON:
 
 * the experiment id and its **complete kwargs** (axis restricted to the
   cell's value);
-* the resolved execution environment: ``REPRO_ENGINE`` kernel and
-  ``REPRO_FASTPATH`` — different kernels are bit-identical by contract,
-  but the contract is *checked* by running them, so they get distinct
-  cells rather than cross-serving each other;
 * a **code fingerprint**: sha256 over every ``src/repro/**/*.py`` file's
   path and contents. Any source change invalidates the whole cache —
   deliberately coarse: simulation results routinely depend on distant
@@ -164,13 +160,11 @@ def _dumps(payload: Any) -> str:
 
 
 def cell_key(exp_id: str, kwargs: Dict[str, Any]) -> str:
-    """The content address of one cell: inputs + environment + code."""
+    """The content address of one cell: inputs + code."""
     payload = _dumps({
         "schema": CELL_SCHEMA,
         "exp_id": exp_id,
         "kwargs": _jsonable(kwargs),
-        "engine": os.environ.get("REPRO_ENGINE", ""),
-        "fastpath": os.environ.get("REPRO_FASTPATH", ""),
         "code": code_fingerprint(),
     })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -87,7 +87,7 @@ class FigureRun:
     rendered: str
     elapsed: float
     #: sha256 of the rendered table — the per-figure determinism
-    #: fingerprint compared across kernels and across ``--jobs`` settings
+    #: fingerprint compared across reruns and across ``--jobs`` settings
     #: (the tables embed every reported cycle count).
     digest: str = field(default="")
     #: ``"ok"`` or ``"failed"`` (retries exhausted; ``rendered`` is empty

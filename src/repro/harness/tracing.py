@@ -8,9 +8,8 @@ collection per requested collector from the heap checkpoint.
 
 The bus is attached *after* the build returns, so the (possibly cached)
 heap-construction traffic is never traced: warm and cold ``REPRO_HEAP_CACHE``
-runs produce bit-identical event streams, and so do the ``bucket`` and
-``heapq`` kernels — properties the determinism suite asserts via
-:func:`~repro.engine.trace.trace_digest`.
+runs produce bit-identical event streams — a property the determinism
+suite asserts via :func:`~repro.engine.trace.trace_digest`.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.engine.simulator import Completion, Event, Simulator, fastpath_enabled
+from repro.engine.simulator import Completion, Event, Simulator
 from repro.engine.stats import StatsRegistry
 from repro.memory.config import CacheConfig
 from repro.memory.request import AccessKind, MemRequest
@@ -64,7 +64,6 @@ class Cache:
         self._ev_access = f"{name}.access"
         self._line_bytes = config.line_bytes
         self._hit_latency = config.hit_latency
-        self._fast = fastpath_enabled()
 
     # -- lookup helpers ------------------------------------------------------
 
@@ -131,14 +130,9 @@ class Cache:
             trace = self.stats.trace
             if trace is not None:
                 trace.events.append((self.sim.now, "cache", self.name, "hit"))
-            if self._fast:
-                # Hit latency is fixed and known now: hand back a resolved
-                # Completion instead of a deferred Event trigger. The
-                # simulated completion time is identical.
-                return Completion(self.sim, self.sim.now + self._hit_latency)
-            event = Event(self.sim, name=self._ev_access)
-            self.sim.schedule(self._hit_latency, event.trigger, None)
-            return event
+            # Hit latency is fixed and known now: hand back a resolved
+            # Completion instead of scheduling a deferred Event trigger.
+            return Completion(self.sim, self.sim.now + self._hit_latency)
         event = Event(self.sim, name=self._ev_access)
         self._c_misses.value += 1
         trace = self.stats.trace

@@ -43,7 +43,7 @@ class TileLinkPort:
     def __init__(self, target, source: str, validate: bool = True):
         # ``target`` is anything with submit(MemRequest) -> Event/Completion.
         # The port forwards the model's completion handle unchanged, so a
-        # fast-path Completion propagates to the requester by callback with
+        # Completion propagates to the requester by callback with
         # no join process and no extra allocation at this layer.
         self.target = target
         self.source = source

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.simulator import Completion, Event, Simulator, fastpath_enabled
+from repro.engine.simulator import Completion, Event, Simulator
 from repro.engine.stats import BandwidthTracker, IntervalTracker, StatsRegistry
 from repro.memory.config import PipeConfig
 from repro.memory.request import AccessKind, MemRequest
@@ -39,14 +39,13 @@ class LatencyBandwidthPipe:
         self._submit_counters: dict = {}
         self._c_bytes_read = self.stats.counter("dram.bytes_read")
         self._c_bytes_written = self.stats.counter("dram.bytes_written")
-        self._fast = fastpath_enabled()
 
     def submit(self, req: MemRequest):
         """Enqueue a request; the returned handle completes at ``done``.
 
         The pipe is never contended — the completion time is fully
-        determined at submit, so the fast path returns a :class:`Completion`
-        with zero queue insertions (a posted write costs nothing at all).
+        determined at submit, so it returns a :class:`Completion` with zero
+        queue insertions (a posted write costs nothing at all).
         """
         req.issue_time = self.sim.now
         self.request_intervals.record(self.sim.now)
@@ -61,11 +60,7 @@ class LatencyBandwidthPipe:
             faulted = self._apply_fault(plane, req, done)
             if faulted is not None:
                 return faulted
-        if self._fast:
-            return Completion(self.sim, done, done)
-        event = self.sim.event(name=f"pipe.{req.source}")
-        self.sim.at(done, event.trigger, done)
-        return event
+        return Completion(self.sim, done, done)
 
     def _apply_fault(self, plane, req: MemRequest, done: int):
         """Fault hooks for the pipe model (it *is* the ``dram`` component).

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from repro.engine.simulator import Completion, Event, Simulator, fastpath_enabled
+from repro.engine.simulator import Completion, Event, Simulator
 from repro.engine.stats import StatsRegistry
 from repro.memory.config import TLBConfig
 from repro.memory.paging import PAGE_SIZE, SUPERPAGE_SIZE
@@ -122,15 +122,13 @@ class TLB:
         self._c_misses = self.stats.counter(f"tlb.{name}.misses")
         self._c_l2_hits = self.stats.counter(f"tlb.{name}.l2_hits")
         self._ev_translate = f"{name}.translate"
-        self._fast = fastpath_enabled()
 
     def translate(self, vaddr: int):
         """Translate a virtual address; completes with the physical address.
 
-        L1 hits return a same-cycle :class:`Completion` (identical to the
-        legacy pre-triggered Event, minus the allocation); L2 hits return
-        one due after the L2 latency — a single queue insertion happens
-        only if the requester actually suspends on it.
+        L1 hits return a same-cycle :class:`Completion`; L2 hits return one
+        due after the L2 latency — a single queue insertion happens only if
+        the requester actually suspends on it.
         """
         paddr = self._store.lookup(vaddr)
         trace = self.stats.trace
@@ -138,11 +136,7 @@ class TLB:
             self._c_hits.value += 1
             if trace is not None:
                 trace.events.append((self.sim.now, "tlb", self.name, "hit"))
-            if self._fast:
-                return Completion(self.sim, self.sim.now, paddr)
-            event = Event(self.sim, name=self._ev_translate)
-            event.trigger(paddr)
-            return event
+            return Completion(self.sim, self.sim.now, paddr)
         self._c_misses.value += 1
         if trace is not None:
             trace.events.append((self.sim.now, "tlb", self.name, "miss"))
@@ -154,13 +148,9 @@ class TLB:
                     trace.events.append((self.sim.now, "tlb", self.name, "l2_hit"))
                 superpage = self.ptw.page_table.is_superpage(vaddr)
                 self._store.insert(vaddr, l2_paddr, superpage)
-                if self._fast:
-                    return Completion(
-                        self.sim, self.sim.now + self.l2.latency, l2_paddr
-                    )
-                event = Event(self.sim, name=self._ev_translate)
-                self.sim.schedule(self.l2.latency, event.trigger, l2_paddr)
-                return event
+                return Completion(
+                    self.sim, self.sim.now + self.l2.latency, l2_paddr
+                )
 
         stats = self.stats
         if stats.hwfaults is not None or stats.watchdog is not None:

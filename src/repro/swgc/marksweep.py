@@ -129,14 +129,17 @@ class SoftwareCollector:
         the only actor observing its own intermediate wakeups, so every run
         of pure-delay yields (loop overhead, decode, branch outcome) is
         coalesced into a single ``yield lag`` flushed immediately before
-        the next side-effectful call. Store issue slots are still yielded
-        directly: the fast-path-off store generator yields its own slot, so
-        folding the fast path's slot into ``lag`` would make the two modes
-        insert their wakeups at different event-queue positions (an
-        intra-cycle trace-order divergence). Each memory op is
-        therefore invoked at exactly the legacy cycle — issue times, cycle
-        counts, and trace records are bit-identical — while the kernel
-        processes one wakeup where it used to process several.
+        the next side-effectful call. Each memory op is therefore invoked at
+        exactly the cycle the unbatched yields would reach, while the kernel
+        processes one wakeup where it would otherwise process several.
+
+        Store issue slots are still yielded directly, not folded into
+        ``lag``. Folding leaves every cycle count unchanged but schedules
+        the next wakeup one cycle earlier, which moves it within its
+        target cycle's FIFO bucket. That reorders same-cycle trace records
+        and changes the pinned avrora trace digest (``4e25471016662c74``
+        at scale 0.05), so the pinned intra-cycle event order keeps the
+        separate yield.
         """
         heap = self.heap
         mem = heap.mem

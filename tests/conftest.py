@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.engine.simulator import ENGINES
+from repro.engine.simulator import Simulator
 from repro.heap.heapimage import ManagedHeap
 from repro.memory.config import MemorySystemConfig
 from repro.workloads.graphgen import HeapGraphBuilder
@@ -13,12 +13,27 @@ from repro.workloads.profiles import DACAPO_PROFILES
 SMALL_MEM = 32 * 1024 * 1024
 
 
-@pytest.fixture(params=sorted(ENGINES))
+class BudgetedSimulator(Simulator):
+    """Routes ``run``/``run_until`` through the kernel's ``max_events``
+    drain loops, with a budget no test exhausts unless it asks for one."""
+
+    BUDGET = 10**9
+
+    def run(self, until=None, max_events=None):
+        return super().run(
+            until, self.BUDGET if max_events is None else max_events)
+
+    def run_until(self, event, max_events=None):
+        return super().run_until(
+            event, self.BUDGET if max_events is None else max_events)
+
+
+@pytest.fixture(params=["unbudgeted", "budgeted"])
 def sim(request):
-    """Every test taking ``sim`` runs once per kernel class — the kernels
-    are interchangeable by contract, so the whole engine test surface
-    doubles as a per-kernel conformance suite."""
-    return ENGINES[request.param]()
+    """A fresh simulator at cycle 0, once per drain loop: the unbudgeted
+    hot loops and the ``max_events`` loops are separate code that must
+    agree on every ordering and accounting rule."""
+    return Simulator() if request.param == "unbudgeted" else BudgetedSimulator()
 
 
 @pytest.fixture

@@ -1,15 +1,14 @@
-"""Determinism of the concurrent collector across kernels and fastpath.
+"""Determinism of the concurrent collector.
 
 The concurrent cycle interleaves three actors (traversal unit, mutator,
 relocator) on one simulated clock — the kind of machinery where hidden
-nondeterminism (dict ordering, engine-dependent tie-breaking) creeps in.
-This gate pins one workload's *exact* cycle counts, heap digest, and trace
-digest, and requires all three priority-queue kernels x fastpath on/off to
-land on the same constants.
+nondeterminism (dict ordering, same-cycle tie-breaking) creeps in. This
+gate pins one workload's *exact* cycle counts, heap digest, and trace
+digest.
 
 If a deliberate model change shifts the numbers, re-pin by running the
-recipe in ``_run_pinned`` and updating the constants — but confirm the
-whole 3x2 matrix still agrees first.
+recipe in ``_run_pinned`` and updating the constants in the same commit
+that explains why.
 """
 
 import hashlib
@@ -54,13 +53,9 @@ def _run_pinned():
 
 @pytest.mark.slow
 class TestPinnedConcurrentGate:
-    """Engine x fastpath matrix must reproduce the pinned constants."""
+    """The pinned recipe must reproduce the pinned constants."""
 
-    @pytest.mark.parametrize("engine", ["bucket", "heapq", "vector"])
-    @pytest.mark.parametrize("fastpath", ["0", "1"])
-    def test_pinned_constants(self, monkeypatch, engine, fastpath):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
+    def test_pinned_constants(self):
         counters, heap_dig, trace_dig = _run_pinned()
         assert counters == PINNED_CONC_CYCLES
         assert heap_dig == PINNED_CONC_HEAP_DIGEST

@@ -97,65 +97,6 @@ class TestNamedCulprits:
         assert safe.stall.occupancies.get("marker.slots_in_flight", 0) > 0
 
 
-@pytest.fixture(scope="class")
-def vector_drill_env():
-    """The drill environment rebuilt on the vector kernel: the watchdog,
-    ``discard_pending``, and the software fallback are kernel-facing code
-    paths, so the two named drills must pass on every kernel."""
-    mp = pytest.MonkeyPatch()
-    mp.setenv("REPRO_ENGINE", "vector")
-    try:
-        built = HeapGraphBuilder(DACAPO_PROFILES["luindex"], scale=0.008,
-                                 seed=13).build()
-        heap = built.heap
-        checkpoint = heap.checkpoint()
-        oracle = heap.reachable()
-        driver = HWGCDriver(heap, GCUnitConfig())
-        driver.init_device()
-        safe = driver.run_gc_safe()
-        assert safe.outcome == "hardware", safe.reason()
-        heap.prune_dead(oracle)
-        reference = heap_digest(heap)
-        heap.restore(checkpoint)
-        yield heap, checkpoint, oracle, reference
-    finally:
-        mp.undo()
-
-
-class TestVectorKernelDrills:
-    """drop:dram and stuck:marker on ``REPRO_ENGINE=vector``."""
-
-    def test_heap_runs_on_vector_kernel(self, vector_drill_env):
-        from repro.engine.simulator import VectorSimulator
-
-        heap, *_ = vector_drill_env
-        assert isinstance(heap.sim, VectorSimulator)
-
-    def test_dropped_dram_response_falls_back(self, vector_drill_env):
-        heap, checkpoint, oracle, reference = vector_drill_env
-        heap.restore(checkpoint)
-        safe, driver, plane = _run_with_fault(heap, "drop:dram")
-        assert plane.fired
-        assert safe.fallback, safe.reason()
-        assert isinstance(safe.stall, StallReport)
-        assert safe.stall.culprit == "dram"
-        assert driver.mmio.status == Status.READY
-        assert heap.reachable() == oracle
-        heap.prune_dead(heap.reachable())
-        assert heap_digest(heap) == reference
-
-    def test_stuck_marker_slot_falls_back(self, vector_drill_env):
-        heap, checkpoint, oracle, reference = vector_drill_env
-        heap.restore(checkpoint)
-        safe, _driver, _plane = _run_with_fault(heap, "stuck:marker")
-        assert safe.fallback, safe.reason()
-        assert isinstance(safe.stall, StallReport)
-        assert safe.stall.culprit == "marker"
-        assert heap.reachable() == oracle
-        heap.prune_dead(heap.reachable())
-        assert heap_digest(heap) == reference
-
-
 class TestObservability:
     def test_fault_and_fallback_ride_the_trace(self, drill_env):
         heap, checkpoint, _oracle, _reference = drill_env

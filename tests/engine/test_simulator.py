@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.engine.simulator import Delay, Event, Simulator, SimulationError
+from repro.engine.simulator import (
+    Completion,
+    Delay,
+    Event,
+    SimulationError,
+    Simulator,
+)
 
 
 class TestScheduling:
@@ -176,3 +182,112 @@ class TestProcesses:
         ev = sim.event()
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_until(ev)
+
+
+def _traffic(sim, log):
+    """Four workers mixing zero-delay hops, short delays, Event handshakes
+    and pending Completions, logging every resumption; returns a joiner
+    process that finishes with the workers' return values."""
+
+    def worker(k):
+        for i in range(12):
+            yield (i * k) % 5
+            ev = sim.event()
+            sim.schedule((i + k) % 3, ev.trigger, (k, i))
+            got = yield ev
+            log.append((sim.now, "ev", got))
+            got = yield Completion(sim, sim.now + i % 4, (k, -i))
+            log.append((sim.now, "cp", got))
+        return k
+
+    workers = [sim.process(worker(k), name=f"w{k}") for k in range(1, 5)]
+
+    def joiner():
+        done = []
+        for w in workers:
+            done.append((yield w))
+        return done
+
+    return sim.process(joiner(), name="joiner")
+
+
+def _one_run():
+    sim, log = Simulator(), []
+    done = _traffic(sim, log)
+    sim.run()
+    return log, done.value, sim.now, sim.events_processed
+
+
+class TestDrainLoops:
+    """Splitting a run into budget- or time-bounded slices must replay the
+    exact event order and accounting of one unbounded run: partial drains
+    keep the rest of a cycle's bucket queued in FIFO order."""
+
+    def test_reference_run_shape(self):
+        log, value, now, events = _one_run()
+        assert value == [1, 2, 3, 4]
+        assert len(log) == 4 * 12 * 2
+        assert (now, events) == (54, 213)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 64, 1000])
+    def test_budget_split_matches_one_run(self, budget):
+        sim, log = Simulator(), []
+        done = _traffic(sim, log)
+        while sim.pending_events:
+            try:
+                sim.run(max_events=budget)
+            except SimulationError as err:
+                assert "exhausted" in str(err)
+        assert (log, done.value, sim.now, sim.events_processed) == _one_run()
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 5, 8, 64])
+    def test_until_split_matches_one_run(self, step):
+        sim, log = Simulator(), []
+        done = _traffic(sim, log)
+        while sim.pending_events:
+            sim.run(until=sim.now + step)
+        ref_log, ref_value, ref_now, ref_events = _one_run()
+        assert (log, done.value, sim.events_processed) == \
+            (ref_log, ref_value, ref_events)
+        assert ref_now <= sim.now < ref_now + step
+
+    @pytest.mark.parametrize("budget", [1, 3, 8, 64])
+    def test_run_until_budget_split_matches_one_run(self, budget):
+        sim, log = Simulator(), []
+        done = _traffic(sim, log)
+        while not done.triggered:
+            try:
+                sim.run_until(done, max_events=budget)
+            except SimulationError as err:
+                assert "exhausted" in str(err)
+        sim.run()
+        assert (log, done.value, sim.now, sim.events_processed) == _one_run()
+
+    @staticmethod
+    def _boom():
+        raise RuntimeError("boom")
+
+    def test_failing_event_is_dequeued_not_counted(self, sim):
+        hits = []
+        sim.schedule(1, hits.append, "a")
+        sim.schedule(1, self._boom)
+        sim.schedule(1, hits.append, "c")
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert (hits, sim.events_processed, sim.pending_events) == \
+            (["a"], 1, 1)
+        sim.run()
+        assert (hits, sim.events_processed, sim.pending_events) == \
+            (["a", "c"], 2, 0)
+
+    def test_failing_event_in_run_until(self, sim):
+        hits = []
+        ev = sim.event()
+        sim.schedule(2, hits.append, "a")
+        sim.schedule(2, self._boom)
+        sim.schedule(2, ev.trigger, "done")
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_until(ev)
+        assert (hits, sim.events_processed, ev.triggered) == (["a"], 1, False)
+        assert sim.run_until(ev) == "done"
+        assert sim.events_processed == 2

@@ -1,6 +1,5 @@
 """Differential determinism: the fleet figures are byte-identical across
-kernels, worker layouts, and cache states — pinned the way
-``test_fastpath.py`` pins the 3×2 matrix.
+worker layouts and cache states, and pinned to absolute digests.
 
 The pinned digests are the determinism contract for the small-scale
 scenario; a change here means fleet behavior changed and must be
@@ -30,13 +29,8 @@ RES_KWARGS = dict(scale=0.008, n_tenants=3, n_queries=300, warmup=30,
                            ("crashed tenant", "crash:t1@2000000")))
 RES_DIGEST = "b772e96501fd2119ab72bc9a3691d9406fa0ba6f4a4e6b530ea6875af34dc65d"
 
-KERNELS = ("bucket", "heapq", "vector")
-
-
 class TestPinnedDigests:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_fleet_slo_digest_per_kernel(self, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", kernel)
+    def test_fleet_slo_digest(self):
         heapcache.reset_cache()
         reset_base_cache()
         assert run_entry(0, "fleet_slo", SLO_KWARGS).digest == SLO_DIGEST
@@ -44,9 +38,7 @@ class TestPinnedDigests:
     def test_fleet_lbo_digest(self):
         assert run_entry(0, "fleet_lbo", LBO_KWARGS).digest == LBO_DIGEST
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_fleet_resilience_digest_per_kernel(self, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", kernel)
+    def test_fleet_resilience_digest(self):
         heapcache.reset_cache()
         reset_base_cache()
         assert run_entry(0, "fleet_resilience",

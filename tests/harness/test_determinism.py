@@ -1,10 +1,9 @@
-"""Determinism guarantees: kernels and worker counts must not change results.
+"""Determinism guarantees: reruns and worker counts must not change results.
 
 The simulation is only trustworthy if the same ``(profile, scale, seed)``
 produces bit-identical cycle counts and ``events_processed`` regardless of
 
-* which event-queue kernel runs it (``REPRO_ENGINE=bucket``, ``heapq``,
-  or ``vector``),
+* whether it is the first or a repeated run in the same process,
 * whether figures are regenerated serially or fanned out across worker
   processes (``run-all --jobs 1`` vs ``--jobs N``),
 * whether the heap came from a fresh build or a warm ``REPRO_HEAP_CACHE``.
@@ -16,14 +15,7 @@ is a per-event assertion of identical execution.
 
 import pytest
 
-from repro.engine.simulator import (
-    ENGINES,
-    BucketSimulator,
-    HeapqSimulator,
-    SimulationError,
-    Simulator,
-    VectorSimulator,
-)
+from repro.engine.simulator import Simulator
 from repro.harness import heapcache
 from repro.harness.parallel import digests, run_suite
 from repro.harness.runners import build_heap, run_hardware, run_software
@@ -44,7 +36,7 @@ def _fresh_cache(monkeypatch):
 
 
 def _collect_fingerprint(profile, scale, seed):
-    """Everything a GC run reports, plus the kernel's event count."""
+    """Everything a GC run reports, plus the simulator's event count."""
     built, checkpoint = build_heap(profile, scale=scale, seed=seed)
     sw, _delta = run_software(built.heap)
     sw_events = built.heap.sim.events_processed
@@ -57,52 +49,7 @@ def _collect_fingerprint(profile, scale, seed):
     )
 
 
-class TestKernelSelection:
-    def test_default_is_bucket(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert isinstance(Simulator(), BucketSimulator)
-
-    def test_env_selects_heapq(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heapq")
-        assert isinstance(Simulator(), HeapqSimulator)
-
-    def test_env_selects_vector(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert isinstance(Simulator(), VectorSimulator)
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "quantum")
-        with pytest.raises(SimulationError, match="REPRO_ENGINE"):
-            Simulator()
-
-    def test_unknown_engine_error_lists_kernels(self, monkeypatch):
-        """The rejection names every registered kernel, sorted, so a typo'd
-        env var is self-correcting from the error message alone."""
-        monkeypatch.setenv("REPRO_ENGINE", "simd")
-        with pytest.raises(SimulationError) as excinfo:
-            Simulator()
-        message = str(excinfo.value)
-        assert "'simd'" in message
-        assert str(sorted(ENGINES)) in message
-        assert "vector" in message
-
-    def test_direct_instantiation_bypasses_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heapq")
-        assert isinstance(BucketSimulator(), BucketSimulator)
-
-
-class TestKernelDeterminism:
-    @pytest.mark.slow
-    def test_kernels_bit_identical(self, monkeypatch):
-        """Both kernels must agree on every cycle count and event count."""
-        profile = DACAPO_PROFILES["avrora"]
-        prints = {}
-        for engine in ("bucket", "heapq", "vector"):
-            monkeypatch.setenv("REPRO_ENGINE", engine)
-            heapcache.reset_cache()  # rebuild under this kernel
-            prints[engine] = _collect_fingerprint(profile, SCALE, seed=1)
-        assert prints["bucket"] == prints["heapq"] == prints["vector"]
-
+class TestSimulationDeterminism:
     @pytest.mark.slow
     def test_same_seed_same_result(self):
         profile = DACAPO_PROFILES["luindex"]
@@ -111,8 +58,9 @@ class TestKernelDeterminism:
         second = _collect_fingerprint(profile, SCALE, seed=3)
         assert first == second
 
-    def test_synthetic_workload_event_parity(self):
-        """A mixed zero-delay / short-delay workload, kernel by kernel."""
+    def test_synthetic_workload_event_count(self):
+        """A mixed zero-delay / short-delay workload lands on the clock
+        and event count recorded when three kernels agreed on them."""
 
         def pinger(sim, n):
             for i in range(n):
@@ -122,30 +70,15 @@ class TestKernelDeterminism:
                 got = yield event
                 assert got == i
 
-        outcomes = []
-        for kernel in (BucketSimulator, HeapqSimulator, VectorSimulator):
-            sim = kernel()
-            sim.process(pinger(sim, 500))
-            sim.run()
-            outcomes.append((sim.now, sim.events_processed))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        sim = Simulator()
+        sim.process(pinger(sim, 500))
+        sim.run()
+        assert (sim.now, sim.events_processed) == (1_499, 1_334)
 
 
 class TestTraceDeterminism:
     """The event stream itself, not just the summary counters, must be
-    bit-identical across kernels and cache states."""
-
-    @pytest.mark.slow
-    def test_trace_digest_identical_across_kernels(self, monkeypatch):
-        digests_by_engine = {}
-        for engine in ("bucket", "heapq", "vector"):
-            monkeypatch.setenv("REPRO_ENGINE", engine)
-            heapcache.reset_cache()
-            capture = trace_collection("avrora", scale=SCALE, seed=1)
-            assert len(capture.bus) > 0
-            digests_by_engine[engine] = capture.digest
-        assert (digests_by_engine["bucket"] == digests_by_engine["heapq"]
-                == digests_by_engine["vector"])
+    bit-identical across reruns and cache states."""
 
     @pytest.mark.slow
     def test_trace_digest_identical_warm_vs_cold_cache(self, monkeypatch,

@@ -117,6 +117,24 @@ class TestInProcessCache:
         assert len(cache._mem) == 1
 
 
+class TestEntriesEnv:
+    def test_unset_uses_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_HEAP_CACHE_ENTRIES", raising=False)
+        assert heapcache.get_cache().entries == heapcache.DEFAULT_ENTRIES
+
+    def test_positive_value_sizes_the_cache(self, monkeypatch):
+        monkeypatch.setenv("REPRO_HEAP_CACHE_ENTRIES", "3")
+        assert heapcache.get_cache().entries == 3
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_bad_value_names_the_variable_and_value(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_HEAP_CACHE_ENTRIES", raw)
+        with pytest.raises(ValueError) as excinfo:
+            heapcache.get_cache()
+        assert "REPRO_HEAP_CACHE_ENTRIES" in str(excinfo.value)
+        assert repr(raw) in str(excinfo.value)
+
+
 class TestDiskCache:
     def test_roundtrip_across_processes(self, tmp_path):
         first = HeapBuildCache(disk_dir=tmp_path)

@@ -101,16 +101,6 @@ class TestKeying:
         assert (cell_key("figfake", {"benchmarks": ("alpha",)})
                 == cell_key("figfake", {"benchmarks": ["alpha"]}))
 
-    def test_engine_and_fastpath_key_distinct_cells(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        base = cell_key("figfake", {})
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert cell_key("figfake", {}) != base
-        monkeypatch.delenv("REPRO_ENGINE")
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert cell_key("figfake", {}) != base
-
     def test_code_fingerprint_keys_the_cell(self, monkeypatch):
         monkeypatch.setattr(simcache, "_CODE_FINGERPRINT", "a" * 64)
         before = cell_key("figfake", {})

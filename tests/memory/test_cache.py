@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import Completion, Event, Simulator
 from repro.engine.stats import StatsRegistry
 from repro.memory.config import CacheConfig, PipeConfig
 from repro.memory.cache import Cache
@@ -139,3 +139,32 @@ class TestHierarchy:
         sim.run()
         assert stats.get("cache.l2.hits") >= 1
         assert done[1] < cold
+
+
+class TestCompletionPath:
+    """Hits hand back a pre-resolved Completion (nothing scheduled at
+    submit); misses hand back an Event the fill triggers."""
+
+    @pytest.mark.parametrize("hit_latency", [1, 2, 10])
+    def test_hit_is_completion_at_hit_latency(self, hit_latency):
+        sim, cache, _stats = make_cache(hit_latency=hit_latency)
+        cache.warm(0x40)
+        sim.run(until=7)
+        handle = cache.submit(req(0x48))
+        assert isinstance(handle, Completion)
+        assert handle.time == 7 + hit_latency
+        assert sim.pending_events == 0
+
+        def proc():
+            yield handle
+            return sim.now
+
+        assert sim.run_until(sim.process(proc())) == 7 + hit_latency
+
+    def test_miss_is_event(self):
+        sim, cache, _stats = make_cache()
+        handle = cache.submit(req(0x40))
+        assert isinstance(handle, Event)
+        assert not handle.triggered
+        sim.run_until(handle)
+        assert cache.contains(0x40)

@@ -1,6 +1,6 @@
 """Latency-bandwidth pipe model (the Fig. 17 memory system)."""
 
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import Completion, Simulator
 from repro.memory.config import PipeConfig
 from repro.memory.pipe import LatencyBandwidthPipe
 from repro.memory.request import AccessKind, MemRequest
@@ -57,3 +57,15 @@ def test_stats_attribution():
     assert pipe.stats.get("mem.requests.m") == 2
     assert pipe.stats.get("dram.bytes_read") == 8
     assert pipe.stats.get("dram.bytes_written") == 16
+
+
+def test_submit_returns_completion_scheduling_nothing():
+    """The pipe knows every completion time at submit: each transfer is a
+    Completion whose value is its finish cycle, queued behind the bus."""
+    sim = Simulator()
+    pipe = LatencyBandwidthPipe(sim, PipeConfig(latency=3, bytes_per_cycle=8))
+    handles = [pipe.submit(read(i * 64)) for i in range(3)]
+    assert all(isinstance(h, Completion) for h in handles)
+    assert [(h.time, h.value) for h in handles] == [(11, 11), (19, 19),
+                                                     (27, 27)]
+    assert sim.pending_events == 0
