@@ -9,14 +9,14 @@ Commands:
 * ``area``                      — print the Fig. 22 area tables.
 * ``run-all [--jobs N] [--out EXPERIMENTS.md] [--only ids]
   [--resume DIR] [--timeout S] [--retries N] [--keep-going]
-  [--shard-figures] [--worker-mode auto|pool|fresh]``
+  [--shard-figures]``
                                 — regenerate the full figure set, fanning
-                                  experiments across worker processes
-                                  (persistent pool or fresh-per-task) with
-                                  per-task timeouts, bounded retries,
-                                  resumable checkpoints, intra-figure
-                                  sharding, and the ``REPRO_SIM_CACHE``
-                                  content-addressed result cache.
+                                  experiments across a persistent worker
+                                  pool with per-task timeouts, bounded
+                                  retries, resumable checkpoints,
+                                  intra-figure sharding, and the
+                                  ``REPRO_SIM_CACHE`` content-addressed
+                                  result cache.
 * ``trace <figure|profile> [opts]``
                                 — capture a cycle-stamped trace of one GC
                                   and export it (Chrome trace / JSONL / CSV).
@@ -107,6 +107,18 @@ def _cmd_run_all(args) -> int:
     )
     from repro.harness.suite import select
 
+    # Count constraints first, as _cmd_fleet does: a negative --timeout
+    # would put every deadline in the past, 0 would silently disable it,
+    # and negative --retries/--jobs would be clamped without a word.
+    for flag, value in (("--jobs", args.jobs), ("--retries", args.retries)):
+        if value < 0:
+            print(f"{flag} must be at least 0 (got {value})",
+                  file=sys.stderr)
+            return 2
+    if args.timeout is not None and not args.timeout > 0:
+        print(f"--timeout must be greater than 0 seconds "
+              f"(got {args.timeout:g})", file=sys.stderr)
+        return 2
     jobs = args.jobs if args.jobs else default_jobs()
     only = args.only.split(",") if args.only else None
     t0 = time.time()
@@ -119,8 +131,7 @@ def _cmd_run_all(args) -> int:
                          progress=lambda msg: print(msg, flush=True),
                          timeout=args.timeout, retries=args.retries,
                          keep_going=args.keep_going, store=store,
-                         shard_figures=args.shard_figures,
-                         worker_mode=args.worker_mode)
+                         shard_figures=args.shard_figures)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -395,11 +406,6 @@ def main(argv=None) -> int:
                             help="also split shardable-axis figures "
                             "(fig01a, fig15-fig21) across the --jobs "
                             "workers; digests are unchanged")
-    all_parser.add_argument("--worker-mode", default="auto",
-                            choices=("auto", "pool", "fresh"),
-                            help="jobs>1 discipline: persistent worker "
-                            "pool, fresh process per task, or auto "
-                            "(fresh iff REPRO_FAULTS is armed)")
     all_parser.add_argument("--keep-going", action="store_true",
                             help="on exhausted retries, annotate the "
                             "report and continue instead of aborting "

@@ -14,23 +14,26 @@ Three policies arbitrate who collects on what:
 * ``software`` — no accelerator at all: every tenant falls back to the
   software collector on its own CPU (the under-contention fallback).
 
-The ``shared`` event loop is a plain earliest-request-first heap. FIFO is
+The ``shared`` event loop is an earliest-request-first heap. FIFO is
 well-defined because each tenant's requests are pushed in order and a
 tenant's next request time never precedes its previous grant's end (the
 mutator was stopped), so the heap never reorders an earlier request
 behind a later one.
 
-With a :class:`~repro.fleet.faults.FleetFaultSpec` armed, ``shared``
-grows failover: a grant in flight when its unit crashes is re-queued
-earliest-request-first onto the surviving units with deterministic
-exponential backoff; a request that exhausts its retry budget, or whose
-wait would exceed the per-request timeout, is served by the tenant's own
-*software* collector instead (the fleet-scale analogue of
-``run_gc_safe``'s graceful degradation — the collection still happens,
-the tenant just pays the software-duration fallback tax). Collections
-are never shed: a skipped GC would be heap-semantically wrong. Load
-shedding stays where it is honest, at the query-replay tier, where shed
-arrivals are counted by the conservation law.
+One loop serves every ``shared`` call. Without a fault plane it runs
+against an empty :class:`~repro.fleet.faults.FleetFaultSpec` — no unit
+dies, every rate factor is 1.0 — so it is the fault-free schedule. With
+a plane armed it fails over: a grant in flight when its unit crashes is
+re-queued earliest-request-first onto the surviving units with
+deterministic exponential backoff; a request that exhausts its retry
+budget, or whose wait would exceed the per-request timeout, is served by
+the tenant's own *software* collector instead (the fleet-scale analogue
+of ``run_gc_safe``'s graceful degradation — the collection still
+happens, the tenant just pays the software-duration fallback tax). The
+timeout is armed only when a plane is passed. Collections are never
+shed: a skipped GC would be heap-semantically wrong. Load shedding stays
+where it is honest, at the query-replay tier, where shed arrivals are
+counted by the conservation law.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
+from repro.fleet.faults import FleetFaultSpec
 from repro.workloads.mutator import MutatorRunResult
 
 POLICIES: Tuple[str, ...] = ("dedicated", "shared", "software")
@@ -63,7 +67,8 @@ class FailoverConfig:
     bounds hardware attempts per request (beyond it: software fallback).
     ``timeout_cycles`` is the per-request patience budget measured from
     the *original* request; a request that cannot start hardware service
-    inside it falls back to software at the deadline (0 disables).
+    inside it falls back to software at the deadline (0 disables; the
+    deadline is armed only when a fault plane is passed).
     """
 
     backoff_cycles: int = 50_000
@@ -161,68 +166,22 @@ def _dedicated(timelines: Sequence[MutatorRunResult]) -> ScheduleResult:
 
 
 def _shared(timelines: Sequence[MutatorRunResult], n_units: int,
-            dram_tax: float) -> ScheduleResult:
-    n_tenants = len(timelines)
-    tax = 1.0 + dram_tax * (n_tenants - 1) / n_units
-    #: (request cycle, tenant, pause index) — tenant breaks ties.
-    pending: List[Tuple[int, int, int]] = []
-    for t, tl in enumerate(timelines):
-        if tl.pauses:
-            heapq.heappush(pending, (tl.pauses[0].start_cycle, t, 0))
-    units = [0] * n_units  # cycle each unit becomes free
-    drift = [0] * n_tenants  # how far each tenant's schedule has slipped
-    adjusted: List[List] = [[] for _ in range(n_tenants)]
-    grants: List[ServiceGrant] = []
-    waits = [0] * n_tenants
-    while pending:
-        request, t, i = heapq.heappop(pending)
-        unit = min(range(n_units), key=lambda u: (units[u], u))
-        grant = max(request, units[unit])
-        base_pause = timelines[t].pauses[i]
-        duration = math.ceil(base_pause.pause_cycles * tax)
-        end = grant + duration
-        units[unit] = end
-        grants.append(ServiceGrant(tenant=t, pause_index=i, unit=unit,
-                                   request=request, grant=grant, end=end))
-        waits[t] += grant - request
-        # The tenant is stopped from request to end: its recorded pause is
-        # the whole stall (wait + taxed collection).
-        adjusted[t].append(replace(base_pause, start_cycle=request,
-                                   mark_cycles=end - request,
-                                   sweep_cycles=0))
-        drift[t] += (end - request) - base_pause.pause_cycles
-        if i + 1 < len(timelines[t].pauses):
-            heapq.heappush(
-                pending,
-                (timelines[t].pauses[i + 1].start_cycle + drift[t], t, i + 1))
-    return ScheduleResult(
-        policy="shared",
-        timelines=[
-            MutatorRunResult(collector=tl.collector, pauses=adjusted[t],
-                             mutator_cycles=tl.mutator_cycles)
-            for t, tl in enumerate(timelines)
-        ],
-        grants=grants,
-        queue_wait_cycles=waits,
-    )
+            dram_tax: float, faults: Optional[FleetFaultSpec],
+            failover: FailoverConfig,
+            software_timelines: Optional[
+                Sequence[MutatorRunResult]]) -> ScheduleResult:
+    """The ``shared`` event loop, with or without a fleet fault plane.
 
-
-def _shared_failover(timelines: Sequence[MutatorRunResult], n_units: int,
-                     dram_tax: float, faults, failover: FailoverConfig,
-                     software_timelines: Optional[
-                         Sequence[MutatorRunResult]]) -> ScheduleResult:
-    """The ``shared`` event loop under an armed fleet fault plane.
-
-    Identical arbitration to :func:`_shared` — earliest-request-first
-    heap, least-loaded-unit pick with index tie-break, DRAM tax — plus
-    the fault semantics of the module docstring. With an *empty* armed
-    plane and the patience budget disabled it reproduces
-    :func:`_shared`'s grants exactly (asserted by the chaos battery);
-    the timeout is part of the failover discipline and can fire on
-    fault-free congestion too, which is one more reason fault-free
-    callers route through :func:`_shared` — the PR 9 digest contract
-    never depends on this equivalence holding.
+    Earliest-request-first heap, least-loaded-unit pick with index
+    tie-break, DRAM tax, plus the fault semantics of the module
+    docstring. ``faults=None`` runs against an empty plane — no crashes,
+    rate factor 1.0 — and leaves the patience deadline unarmed: the
+    timeout is part of the failover discipline and could otherwise fire
+    on fault-free congestion, moving the pinned fault-free schedules.
     """
+    patience = failover.timeout_cycles if faults is not None else 0
+    if faults is None:
+        faults = FleetFaultSpec()
     n_tenants = len(timelines)
     tax = 1.0 + dram_tax * (n_tenants - 1) / n_units
     #: (eligible cycle, original request, tenant, pause index, attempt)
@@ -268,11 +227,12 @@ def _shared_failover(timelines: Sequence[MutatorRunResult], n_units: int,
         base_pause = timelines[t].pauses[i]
         work = math.ceil(base_pause.pause_cycles * tax
                          * faults.tenant_factor(t, first_request))
-        deadline = (first_request + failover.timeout_cycles
-                    if failover.timeout_cycles > 0 else None)
+        deadline = first_request + patience if patience > 0 else None
 
         def finish(end: int, grant: ServiceGrant) -> None:
             grants.append(grant)
+            # The tenant is stopped from its first request to end: its
+            # recorded pause is the whole stall (wait + collection).
             adjusted[t].append(replace(base_pause,
                                        start_cycle=first_request,
                                        mark_cycles=end - first_request,
@@ -296,9 +256,7 @@ def _shared_failover(timelines: Sequence[MutatorRunResult], n_units: int,
                                      attempts=attempt, via="fallback"))
 
         # Units that can still start this grant: alive at their earliest
-        # possible start. The pick replicates _shared exactly —
-        # least-loaded first, unit index breaking ties — so an empty
-        # armed plane reproduces the fault-free schedule.
+        # possible start. Least-loaded wins, unit index breaking ties.
         alive = [u for u in range(n_units)
                  if crash_at[u] is None
                  or max(eligible, units[u]) < crash_at[u]]
@@ -380,8 +338,8 @@ def schedule_fleet(policy: str, timelines: Sequence[MutatorRunResult],
     fleet fault plane for the ``shared`` policy; ``failover`` tunes the
     retry discipline and ``software_timelines`` supplies the per-tenant
     software-collector runs that price the degraded-mode fallback. With
-    ``faults`` unset the legacy fault-free event loop runs unchanged, so
-    fault-free schedules stay byte-identical to the pinned PR 9 contract.
+    ``faults`` unset the same loop runs against an empty plane with the
+    patience deadline unarmed, which is the fault-free schedule.
     """
     resolve_policy(policy)
     if n_units < 1:
@@ -390,10 +348,7 @@ def schedule_fleet(policy: str, timelines: Sequence[MutatorRunResult],
             f"shared DRAM tax divides by n_units and admission picks "
             f"min() over the unit pool")
     if policy == "shared":
-        if faults is not None:
-            return _shared_failover(timelines, n_units, dram_tax, faults,
-                                    failover or FailoverConfig(),
-                                    software_timelines)
-        return _shared(timelines, n_units, dram_tax)
+        return _shared(timelines, n_units, dram_tax, faults,
+                       failover or FailoverConfig(), software_timelines)
     result = _dedicated(timelines)
     return replace(result, policy=policy)

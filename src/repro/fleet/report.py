@@ -215,33 +215,28 @@ def simulate_fleet(
                 t.phase_frac)
             for t in roster
         ]
-        if faults is not None and policy == "shared":
-            software = [
-                tenant_timeline(
-                    base_run(t.benchmark, "sw", spec.scale, spec.seed,
-                             spec.n_gcs),
-                    t.phase_frac)
-                for t in roster
-            ]
-            sched = schedule_fleet(
-                policy, requested, n_units=spec.n_units,
-                dram_tax=spec.dram_tax, faults=faults,
-                failover=FailoverConfig(
-                    backoff_cycles=spec.failover_backoff_cycles,
-                    max_retries=spec.failover_retries,
-                    timeout_cycles=spec.failover_timeout_cycles),
-                software_timelines=software)
-        else:
-            sched = schedule_fleet(policy, requested, n_units=spec.n_units,
-                                   dram_tax=spec.dram_tax)
+        armed = faults is not None and policy == "shared"
+        software = [
+            tenant_timeline(
+                base_run(t.benchmark, "sw", spec.scale, spec.seed,
+                         spec.n_gcs),
+                t.phase_frac)
+            for t in roster
+        ] if armed else None
+        sched = schedule_fleet(
+            policy, requested, n_units=spec.n_units,
+            dram_tax=spec.dram_tax, faults=faults,
+            failover=FailoverConfig(
+                backoff_cycles=spec.failover_backoff_cycles,
+                max_retries=spec.failover_retries,
+                timeout_cycles=spec.failover_timeout_cycles),
+            software_timelines=software)
         for index in tenant_indices:
             tenant = roster[index]
             timeline = sched.timelines[index]
             arrivals, n_warmup = tenant_arrivals(assignments, interval,
                                                  index, spec.warmup)
-            offline = (faults.tenant_crash_cycle(index)
-                       if faults is not None and policy == "shared"
-                       else None)
+            offline = faults.tenant_crash_cycle(index) if armed else None
             replay = QueryReplay(
                 timeline, interval_cycles=interval,
                 service_mean_cycles=service, seed=tenant.seed,

@@ -6,27 +6,15 @@
 * **jobs=1** runs inline — no pool, no pickling, and the in-process heap
   cache is shared across figures (fig15/fig23 and the avrora ablations
   reuse each other's builds).
-* **jobs>1** fans entries out over worker processes (``fork`` start
-  method where available, ``spawn`` otherwise). Completion order is
+* **jobs>1** fans entries out over a pool of ``jobs`` persistent worker
+  processes (``fork`` start method where available, ``spawn``
+  otherwise). Each worker loops over tasks from a duplex pipe, one task
+  in flight at a time, amortizing interpreter + import startup (and its
+  in-process heap cache) across the tasks it runs. Completion order is
   arbitrary but the merge sorts by suite index, so the output document
   and the per-figure digests are independent of scheduling. Set
   ``REPRO_HEAP_CACHE`` to share heap builds across workers via the disk
-  cache. Two worker disciplines exist (``worker_mode``):
-
-  - ``"pool"`` — **persistent workers**: ``jobs`` long-lived processes
-    each loop over tasks from a duplex pipe, amortizing interpreter +
-    import startup (and their in-process heap caches) across the tasks
-    they run. A worker that dies mid-task is detected by pipe EOF, the
-    task is attributed to exactly that worker, and a replacement worker
-    is spawned — crash attribution survives pooling because each worker
-    runs one task at a time.
-  - ``"fresh"`` — **one process per task attempt**, the PR-4 discipline:
-    maximum isolation, and the only mode in which ``REPRO_FAULTS``
-    injection executes (faults fire at worker start, which a persistent
-    worker has only once).
-  - ``"auto"`` (default) resolves to ``"fresh"`` when a fault plan is
-    armed and ``"pool"`` otherwise, so fault drills keep their
-    per-attempt injection semantics without callers caring.
+  cache.
 
 Fault tolerance (all opt-in; a fault-free run is byte-identical to the
 pre-retry pipeline):
@@ -36,10 +24,11 @@ pre-retry pipeline):
 * **bounded retries** (``retries=N``) with deterministic exponential
   backoff (``backoff * 2**(attempt-1)`` seconds, no jitter);
 * **crash recovery** — a worker that exits abnormally (segfault, OOM
-  kill, ``os._exit``) is detected via its exit code and the entry is
-  retried on a fresh process; other in-flight entries are unaffected
-  (the per-task-process design is why: a shared executor would raise
-  ``BrokenProcessPool`` for every sibling);
+  kill, ``os._exit``) is detected by pipe EOF, the attempt is attributed
+  to the one task that worker was running and described by its exit
+  code, and a replacement worker is spawned; other in-flight entries are
+  unaffected (each worker has its own pipe — a shared executor would
+  raise ``BrokenProcessPool`` for every sibling);
 * **graceful degradation** (``keep_going=True``) — an entry that
   exhausts its retries is recorded as a failed :class:`FigureRun`
   (status, attempts, last error, per-attempt history) and the run keeps
@@ -52,10 +41,13 @@ pre-retry pipeline):
   tears the pool down cleanly) resumes re-executing only what's missing.
 
 Fault *injection* for exercising these paths lives in
-:mod:`repro.harness.faults` (``REPRO_FAULTS`` env spec). With ``jobs=1``
-the faults execute in the orchestrating process itself — a ``crash``
-fault will genuinely ``os._exit`` it — so crash/hang testing wants
-``jobs>=2``.
+:mod:`repro.harness.faults` (``REPRO_FAULTS`` env spec). The parent
+resolves each attempt's fault and ships it with the task; the pooled
+worker executes it before running the entry, so a ``crash`` lands on
+the crash path, a ``hang`` on deadline reaping and a ``raise`` on the
+in-band error path. With ``jobs=1`` the faults execute in the
+orchestrating process itself — a ``crash`` fault will genuinely
+``os._exit`` it — so crash/hang testing wants ``jobs>=2``.
 
 Every figure's rendered table is hashed into ``FigureRun.digest`` — the
 fingerprint the determinism tests compare across ``--jobs`` settings,
@@ -120,35 +112,14 @@ def _pool_context():
         return multiprocessing.get_context("spawn")
 
 
-def _child_main(conn, index: int, exp_id: str, kwargs: Dict[str, Any],
-                fault: Optional[faults.Fault], hang_seconds: float) -> None:
-    """Worker entry: one task, one process, result over a pipe.
-
-    Referenced as a module global (not a closure) so it pickles under
-    ``spawn`` and inherits monkeypatched ``run_entry`` under ``fork``.
-    """
-    try:
-        faults.execute(fault, hang_seconds)
-        run = run_entry(index, exp_id, kwargs)
-        conn.send(("ok", run, attempt_stats()))
-    except BaseException as exc:  # report injected raises and real bugs alike
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}",
-                       attempt_stats()))
-        except Exception:  # parent went away; nothing to report to
-            pass
-    finally:
-        conn.close()
-
-
 def _stats_delta(before: Dict[str, float],
                  after: Dict[str, float]) -> Dict[str, float]:
-    """Per-attempt resource accounting for a persistent worker.
+    """Per-attempt resource accounting.
 
-    ``attempt_stats`` is cumulative for the process; a pooled worker
-    subtracts its pre-task snapshot so the attempt record carries this
-    task's CPU time (peak RSS stays the process-lifetime high-water mark —
-    still the right signal for spotting an OOM-bound attempt).
+    ``attempt_stats`` is cumulative for the process; the runner subtracts
+    its pre-task snapshot so the attempt record carries this task's CPU
+    time (peak RSS stays the process-lifetime high-water mark — still the
+    right signal for spotting an OOM-bound attempt).
     """
     out = dict(after)
     if "cpu_s" in before and "cpu_s" in out:
@@ -161,9 +132,9 @@ def _pool_worker_main(conn) -> None:
 
     Referenced as a module global (not a closure) so it pickles under
     ``spawn`` and inherits monkeypatched ``run_entry`` under ``fork``.
-    ``None`` is the stop sentinel; a task is ``(index, exp_id, kwargs)``.
-    No fault execution here — ``worker_mode`` routing guarantees armed
-    fault plans run on fresh per-task workers instead.
+    ``None`` is the stop sentinel; a task is ``(index, exp_id, kwargs,
+    fault, hang_seconds)``, the fault resolved by the parent for this
+    attempt (``None`` when none matches).
     """
     try:
         while True:
@@ -173,9 +144,10 @@ def _pool_worker_main(conn) -> None:
                 break
             if task is None:
                 break
-            index, exp_id, kwargs = task
+            index, exp_id, kwargs, fault, hang_seconds = task
             before = attempt_stats()
             try:
+                faults.execute(fault, hang_seconds)
                 run = run_entry(index, exp_id, kwargs)
             except BaseException as exc:
                 try:
@@ -302,6 +274,7 @@ def _run_inline(states: List[_TaskState], sched: _Scheduler,
             fault = (plan.match(state.exp_id, state.attempts + 1)
                      if plan is not None else None)
             t0 = time.monotonic()
+            before = attempt_stats()
             try:
                 if plan is not None:
                     faults.execute(fault, plan.hang_seconds)
@@ -318,103 +291,8 @@ def _run_inline(states: List[_TaskState], sched: _Scheduler,
                 time.sleep(delay)
             else:
                 sched.finish_ok(state, run, time.monotonic() - t0,
-                                attempt_stats())
+                                _stats_delta(before, attempt_stats()))
                 break
-
-
-def _run_pool(states: List[_TaskState], jobs: int, sched: _Scheduler,
-              plan: Optional[faults.FaultPlan], timeout: Optional[float],
-              say: Callable[[str], None]) -> None:
-    """jobs>1: one worker process per task attempt, with kill-on-timeout."""
-    ctx = _pool_context()
-    queue = deque(states)
-    running: Dict[Any, Any] = {}  # conn -> (state, proc, started, deadline)
-    say(f"running {len(states)} experiments on {jobs} workers ...")
-    try:
-        while queue or running:
-            now = time.monotonic()
-
-            # Launch every ready task there is a free worker slot for.
-            while queue and len(running) < jobs:
-                ready = next((i for i, s in enumerate(queue)
-                              if s.not_before <= now), None)
-                if ready is None:
-                    break
-                queue.rotate(-ready)
-                state = queue.popleft()
-                queue.rotate(ready)
-                fault = (plan.match(state.exp_id, state.attempts + 1)
-                         if plan is not None else None)
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_child_main,
-                    args=(child_conn, state.index, state.exp_id,
-                          state.kwargs, fault,
-                          plan.hang_seconds if plan is not None
-                          else faults.DEFAULT_HANG_SECONDS),
-                )
-                proc.start()
-                child_conn.close()
-                started = time.monotonic()
-                deadline = started + timeout if timeout else None
-                running[parent_conn] = (state, proc, started, deadline)
-
-            if not running:
-                # Everything pending is backing off; sleep until the
-                # earliest retry becomes eligible.
-                wake = min(s.not_before for s in queue)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-
-            # Wait for a result, bounded by the nearest deadline.
-            wait_for = _TICK if queue else 1.0
-            deadlines = [d for (_s, _p, _t, d) in running.values()
-                         if d is not None]
-            if deadlines:
-                wait_for = min(wait_for,
-                               max(0.0, min(deadlines) - time.monotonic()))
-            ready_conns = multiprocessing.connection.wait(
-                list(running), timeout=wait_for)
-
-            for conn in ready_conns:
-                state, proc, started, _deadline = running.pop(conn)
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    msg = None  # died before reporting: crash
-                conn.close()
-                proc.join(5.0)
-                wall = time.monotonic() - started
-                if msg is not None and msg[0] == "ok":
-                    sched.finish_ok(state, msg[1], wall, msg[2])
-                elif msg is not None:
-                    if sched.record_failure(state, "error", msg[1],
-                                            wall) is not None:
-                        queue.append(state)
-                else:
-                    if sched.record_failure(
-                            state, "crash", _describe_exit(proc.exitcode),
-                            wall) is not None:
-                        queue.append(state)
-
-            # Reap workers that blew their deadline.
-            now = time.monotonic()
-            for conn, (state, proc, started, deadline) in list(running.items()):
-                if deadline is None or now < deadline:
-                    continue
-                running.pop(conn)
-                conn.close()
-                _kill(proc)
-                if sched.record_failure(
-                        state, "timeout",
-                        f"timed out after {timeout:.0f}s",
-                        now - started) is not None:
-                    queue.append(state)
-    finally:
-        # Abort, KeyboardInterrupt, or normal exit: never leak workers.
-        for conn, (_state, proc, _started, _deadline) in running.items():
-            _kill(proc)
-            conn.close()
 
 
 class _PoolWorker:
@@ -431,9 +309,10 @@ class _PoolWorker:
 
 
 def _run_persistent_pool(states: List[_TaskState], jobs: int,
-                         sched: _Scheduler, timeout: Optional[float],
+                         sched: _Scheduler, plan: Optional[faults.FaultPlan],
+                         timeout: Optional[float],
                          say: Callable[[str], None]) -> None:
-    """jobs>1, worker_mode="pool": long-lived workers over duplex pipes.
+    """jobs>1: long-lived workers over duplex pipes.
 
     Dispatch keeps one task in flight per worker, so a death (pipe EOF)
     or a blown deadline still attributes to exactly one entry; the dead
@@ -442,6 +321,8 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
     drains.
     """
     ctx = _pool_context()
+    hang_seconds = (plan.hang_seconds if plan is not None
+                    else faults.DEFAULT_HANG_SECONDS)
     pending = deque(states)
     workers: List[_PoolWorker] = []
     say(f"running {len(states)} experiments on {jobs} persistent "
@@ -489,9 +370,11 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 pending.rotate(-ready)
                 state = pending.popleft()
                 pending.rotate(ready)
+                fault = (plan.match(state.exp_id, state.attempts + 1)
+                         if plan is not None else None)
                 try:
                     worker.conn.send((state.index, state.exp_id,
-                                      state.kwargs))
+                                      state.kwargs, fault, hang_seconds))
                 except (OSError, ValueError):
                     # Died while idle: requeue, reap below via pipe EOF.
                     pending.appendleft(state)
@@ -579,26 +462,6 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
             discard(worker, kill=worker.state is not None)
 
 
-def resolve_worker_mode(worker_mode: str,
-                        fault_plan: Optional[faults.FaultPlan]) -> str:
-    """``auto`` → ``fresh`` iff a fault plan is armed, else ``pool``.
-
-    Explicitly requesting ``pool`` with a fault plan armed is an error:
-    persistent workers never execute injected faults, and silently
-    ignoring the plan would make a fault drill vacuously pass.
-    """
-    if worker_mode not in ("auto", "pool", "fresh"):
-        raise ValueError(f"worker_mode must be auto|pool|fresh, "
-                         f"got {worker_mode!r}")
-    if worker_mode == "auto":
-        return "fresh" if fault_plan is not None else "pool"
-    if worker_mode == "pool" and fault_plan is not None:
-        raise ValueError("worker_mode='pool' cannot run a fault plan; "
-                         "fault injection needs fresh per-task workers "
-                         "(worker_mode='fresh' or 'auto')")
-    return worker_mode
-
-
 def run_suite(
     jobs: int = 1,
     only: Optional[Sequence[str]] = None,
@@ -611,7 +474,6 @@ def run_suite(
     store=None,
     fault_plan: Optional[faults.FaultPlan] = None,
     shard_figures: bool = False,
-    worker_mode: str = "auto",
 ) -> List[FigureRun]:
     """Run the figure suite with ``jobs`` workers; results in suite order.
 
@@ -627,17 +489,13 @@ def run_suite(
     with a shardable axis (see :mod:`repro.harness.sharding`) across the
     ``jobs`` workers — those entries run first, each using the whole
     worker pool, then the remaining entries fan out one-per-worker.
-    ``worker_mode`` picks the fan-out discipline: ``"pool"`` (persistent
-    workers), ``"fresh"`` (one process per task attempt), or ``"auto"``
-    (fresh iff a fault plan is armed). Digests are unchanged across all
-    of it.
+    Digests are unchanged across all of it.
     """
     entries = select(only)
     tasks = [(i, exp_id, kwargs) for i, (exp_id, kwargs) in enumerate(entries)]
     say = progress if progress is not None else (lambda msg: None)
     if fault_plan is None:
         fault_plan = faults.plan_from_env()
-    worker_mode = resolve_worker_mode(worker_mode, fault_plan)
 
     completed: Dict[int, FigureRun] = {}
     if store is not None:
@@ -669,10 +527,9 @@ def run_suite(
         jobs = max(1, min(jobs, len(states)))
         if jobs == 1:
             _run_inline(states, sched, fault_plan, say)
-        elif worker_mode == "pool":
-            _run_persistent_pool(states, jobs, sched, timeout, say)
         else:
-            _run_pool(states, jobs, sched, fault_plan, timeout, say)
+            _run_persistent_pool(states, jobs, sched, fault_plan, timeout,
+                                 say)
     return _ordered(completed)
 
 

@@ -113,8 +113,8 @@ def attempt_stats() -> Dict[str, float]:
     Workers attach this to each attempt record so the suite runner can
     annotate retries with CPU time and peak RSS — the signal that
     distinguishes an OOM-killed attempt (rss climbing to the cgroup limit)
-    from a plain crash. Values are cumulative for the calling process; on
-    a fresh per-task worker they describe just that attempt.
+    from a plain crash. Values are cumulative for the calling process;
+    the suite runner subtracts a pre-task snapshot to get one attempt's.
     """
     try:
         import resource

@@ -269,7 +269,7 @@ def run_entry_sharded(index: int, exp_id: str, kwargs: Dict[str, Any],
     failure raises — the caller's retry accounting treats it like any
     other failed attempt.
     """
-    from repro.harness.parallel import _pool_context
+    from repro.harness.parallel import _describe_exit, _pool_context
 
     spec = SHARDABLE.get(exp_id)
     values = axis_values(exp_id, kwargs)
@@ -296,9 +296,11 @@ def run_entry_sharded(index: int, exp_id: str, kwargs: Dict[str, Any],
         try:
             msg = parent_conn.recv()
         except (EOFError, OSError):
-            msg = ("error", "shard worker died before reporting", None)
+            msg = None  # died before reporting: name the exit status
         parent_conn.close()
         proc.join(5.0)
+        if msg is None:
+            msg = ("error", _describe_exit(proc.exitcode), None)
         if msg[0] == "ok":
             results.append(msg[1])
             shard_digests.append(hashlib.sha256(

@@ -9,7 +9,10 @@ served exactly once, the grant log stays earliest-request-first, and
 the replay tier's conservation law holds with shed arrivals counted.
 """
 
+import heapq
 import math
+from dataclasses import replace
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 from repro.engine.faultplane import FaultSpecGrammarError
 from repro.fleet.admission import (
     FailoverConfig,
-    _shared,
+    ScheduleResult,
+    ServiceGrant,
     schedule_fleet,
 )
 from repro.fleet.balancer import offline_split
@@ -29,6 +33,7 @@ from repro.fleet.faults import (
     FleetFaultSpecError,
 )
 from repro.workloads.latency import QueryReplay
+from repro.workloads.mutator import MutatorRunResult
 from tests.fleet.test_admission import (
     build_timelines,
     tenant_layouts,
@@ -143,11 +148,61 @@ class TestRateModel:
 EMPTY = FleetFaultSpec()
 
 
+def _reference_shared(timelines, n_units, dram_tax):
+    """Test-only oracle: the fault-free ``shared`` loop, written out.
+
+    Earliest-request-first heap, least-loaded unit with the unit index
+    breaking ties, DRAM-taxed durations — no crashes, no retries, no
+    patience deadline. The one admission loop must reproduce it exactly
+    with an empty plane armed and the timeout off.
+    """
+    n_tenants = len(timelines)
+    tax = 1.0 + dram_tax * (n_tenants - 1) / n_units
+    #: (request cycle, tenant, pause index) — tenant breaks ties.
+    pending: List[Tuple[int, int, int]] = []
+    for t, tl in enumerate(timelines):
+        if tl.pauses:
+            heapq.heappush(pending, (tl.pauses[0].start_cycle, t, 0))
+    units = [0] * n_units  # cycle each unit becomes free
+    drift = [0] * n_tenants  # how far each tenant's schedule has slipped
+    adjusted: List[List] = [[] for _ in range(n_tenants)]
+    grants: List[ServiceGrant] = []
+    waits = [0] * n_tenants
+    while pending:
+        request, t, i = heapq.heappop(pending)
+        unit = min(range(n_units), key=lambda u: (units[u], u))
+        grant = max(request, units[unit])
+        base_pause = timelines[t].pauses[i]
+        end = grant + math.ceil(base_pause.pause_cycles * tax)
+        units[unit] = end
+        grants.append(ServiceGrant(tenant=t, pause_index=i, unit=unit,
+                                   request=request, grant=grant, end=end))
+        waits[t] += grant - request
+        adjusted[t].append(replace(base_pause, start_cycle=request,
+                                   mark_cycles=end - request,
+                                   sweep_cycles=0))
+        drift[t] += (end - request) - base_pause.pause_cycles
+        if i + 1 < len(timelines[t].pauses):
+            heapq.heappush(
+                pending,
+                (timelines[t].pauses[i + 1].start_cycle + drift[t], t, i + 1))
+    return ScheduleResult(
+        policy="shared",
+        timelines=[
+            MutatorRunResult(collector=tl.collector, pauses=adjusted[t],
+                             mutator_cycles=tl.mutator_cycles)
+            for t, tl in enumerate(timelines)
+        ],
+        grants=grants,
+        queue_wait_cycles=waits,
+    )
+
+
 class TestFailoverAdmission:
     def test_empty_armed_plane_reproduces_shared_exactly(self):
         tls = build_timelines([[(100_000, 50_000), (400_000, 60_000)],
                                [(100_000, 40_000)]])
-        plain = _shared(tls, 2, 0.25)
+        plain = _reference_shared(tls, 2, 0.25)
         armed = schedule_fleet("shared", tls, n_units=2, dram_tax=0.25,
                                faults=EMPTY)
         assert armed.grants == plain.grants
@@ -162,9 +217,9 @@ class TestFailoverAdmission:
             self, layouts, n_units, dram_tax):
         # Patience disabled: the timeout is part of the failover
         # discipline and can fire on fault-free congestion too, which is
-        # exactly why figure runs route empty specs through _shared.
+        # exactly why it is armed only when a plane is passed.
         tls = build_timelines(layouts)
-        plain = _shared(tls, n_units, dram_tax)
+        plain = _reference_shared(tls, n_units, dram_tax)
         armed = schedule_fleet("shared", tls, n_units=n_units,
                                dram_tax=dram_tax, faults=EMPTY,
                                failover=FailoverConfig(timeout_cycles=0))
@@ -252,6 +307,18 @@ class TestFailoverAdmission:
         assert by_tenant[1].via == "fallback"
         assert by_tenant[1].grant == 150_000
         assert sched.retry_wait_cycles[1] == 50_000
+
+    def test_no_plane_leaves_the_deadline_unarmed(self):
+        # The same congestion without a plane: tenant 1 waits it out on
+        # the unit, exactly as the fault-free oracle schedules it.
+        tls = build_timelines([[(90_000, 2_000_000)], [(100_000, 30_000)]])
+        sched = schedule_fleet(
+            "shared", tls, n_units=1, dram_tax=0.0,
+            failover=FailoverConfig(timeout_cycles=50_000))
+        plain = _reference_shared(tls, 1, 0.0)
+        assert sched.grants == plain.grants
+        assert sched.timelines == plain.timelines
+        assert sched.fallbacks == [0, 0]
 
     def test_crashed_tenant_collections_are_cancelled(self):
         tls = build_timelines([[(100_000, 10_000), (500_000, 10_000),

@@ -37,6 +37,18 @@ class TestCLI:
     def test_run_with_scale_and_seed(self, capsys):
         assert main(["run", "abl_barriers"]) == 0
 
+    @pytest.mark.parametrize("flag,value,shown", [
+        ("--timeout", "-1", "-1"),
+        ("--timeout", "0", "0"),
+        ("--retries", "-1", "-1"),
+        ("--jobs", "-2", "-2"),
+    ])
+    def test_run_all_rejects_nonsense_counts(self, capsys, flag, value,
+                                             shown):
+        assert main(["run-all", "--only", "fig22", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and f"(got {shown})" in err
+
 
 class TestTraceCommand:
     def test_chrome_export_is_valid(self, capsys, tmp_path):

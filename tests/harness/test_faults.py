@@ -2,8 +2,9 @@
 
 Uses the two static-model suite entries (fig22, abl_barriers) so every
 scenario runs in well under a second of real work, with tiny backoffs.
-Crash/hang scenarios use ``jobs=2`` — with ``jobs=1`` faults execute in
-this very process (by design; see :mod:`repro.harness.parallel`).
+Crash/hang scenarios use ``jobs=2``, so the faults execute on the
+persistent pool's workers — with ``jobs=1`` they execute in this very
+process (by design; see :mod:`repro.harness.parallel`).
 """
 
 import multiprocessing

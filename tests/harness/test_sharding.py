@@ -7,6 +7,9 @@ digests land on the ``FigureRun`` and round-trip through checkpoints, and
 non-shardable entries silently fall back to the inline path.
 """
 
+import multiprocessing
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,6 +206,24 @@ class TestShardedIdentity:
         run = run_entry_sharded(0, "fig01a", kwargs, jobs=4)
         assert run.shard_digests == []
         assert run.ok
+
+
+class TestShardFailure:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched shard child needs the fork start method")
+    def test_dead_shard_names_its_exit_status(self, monkeypatch):
+        import repro.harness.simcache as simcache
+
+        def dying(exp_id, kwargs, _real=simcache.run_experiment):
+            if kwargs["benchmarks"] == ["avrora"]:
+                os._exit(42)  # die without reporting: pipe EOF
+            return _real(exp_id, kwargs)
+
+        monkeypatch.setattr(simcache, "run_experiment", dying)
+        kwargs = dict(scale=SCALE, seed=1, benchmarks=["avrora", "luindex"])
+        with pytest.raises(RuntimeError, match="status 42"):
+            run_entry_sharded(0, "fig15", kwargs, jobs=2)
 
 
 class TestCheckpointRoundTrip:
