@@ -34,8 +34,10 @@ from repro.fleet.spec import FleetSpec, TenantSpec
 from repro.fleet.balancer import spray, tenant_arrivals
 from repro.fleet.timeline import base_run, tenant_timeline
 from repro.workloads.latency import (
+    SERVICE_SIGMA,
     QueryReplay,
     ReplayResult,
+    draw_service_times,
     percentile_summary,
 )
 
@@ -205,6 +207,15 @@ def simulate_fleet(
     horizon = spec.n_queries * interval
     shed_cycles = (spec.shed_backlog_intervals * interval
                    if spec.shed_backlog_intervals > 0 else None)
+    # A tenant's arrivals and service draws depend on neither the policy
+    # nor its timeline (shed queries draw too), so every policy replays
+    # the same lists: one slice and one draw per tenant per call.
+    streams: Dict[int, Tuple[List[int], int, List[int]]] = {}
+    for index in tenant_indices:
+        arrivals, n_warmup = tenant_arrivals(assignments, interval, index,
+                                             spec.warmup)
+        streams[index] = (arrivals, n_warmup, draw_service_times(
+            len(arrivals), service, SERVICE_SIGMA, roster[index].seed))
     reports: Dict[Tuple[int, str], TenantReport] = {}
     for policy in policies:
         collector = "sw" if policy == "software" else "hw"
@@ -234,15 +245,14 @@ def simulate_fleet(
         for index in tenant_indices:
             tenant = roster[index]
             timeline = sched.timelines[index]
-            arrivals, n_warmup = tenant_arrivals(assignments, interval,
-                                                 index, spec.warmup)
+            arrivals, n_warmup, services = streams[index]
             offline = faults.tenant_crash_cycle(index) if armed else None
             replay = QueryReplay(
                 timeline, interval_cycles=interval,
                 service_mean_cycles=service, seed=tenant.seed,
             ).replay(arrivals, warmup=n_warmup, horizon=horizon,
                      shed_backlog_cycles=shed_cycles,
-                     offline_after_cycle=offline)
+                     offline_after_cycle=offline, services=services)
             if not replay.conserved:
                 raise ConservationError(
                     f"tenant {index} under {policy}: arrived "

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,111 +48,6 @@ class QueryRecord:
         return self.latency_cycles / 1e6
 
 
-class QuerySimulator:
-    """Open-loop single-server query replay over a GC-pause timeline."""
-
-    def __init__(
-        self,
-        run: MutatorRunResult,
-        interval_cycles: int = 1_000_000,  # 1 ms at 1 GHz (scaled 100 ms)
-        service_mean_cycles: int = 120_000,
-        service_sigma: float = 0.35,
-        seed: int = 42,
-    ):
-        self.run = run
-        self.interval = interval_cycles
-        self.service_mean = service_mean_cycles
-        self.service_sigma = service_sigma
-        self.seed = seed
-        self._pauses = self._tile_pauses()
-
-    def _tile_pauses(self) -> List[Tuple[int, int]]:
-        """Pause windows [(start, end)] from the run, tiled so the schedule
-        can extend past one benchmark iteration (DaCapo loops internally).
-
-        A run whose pauses cover the entire window leaves no mutator time
-        for service to progress, so ``_advance_through_pauses`` would spin
-        forever hopping from one tiled pause straight into the next; such
-        degenerate timelines are rejected here, at construction.
-        """
-        segments = self.run.timeline()
-        period = self.run.total_cycles
-        base = [(s, e) for kind, s, e in segments if kind == "gc"]
-        if not base or period <= 0:
-            return []
-        covered = sum(end - start for start, end in base)
-        if covered >= period:
-            raise ValueError(
-                f"GC pauses cover the entire run window ({covered} of "
-                f"{period} cycles): queries could never complete")
-        return base  # tiling handled modulo `period` during lookup
-
-    def _pause_after(self, t: int) -> Tuple[int, int]:
-        """The first pause window that ends after time ``t`` (tiled)."""
-        period = self.run.total_cycles
-        epoch = t // period
-        while True:
-            offset = epoch * period
-            for start, end in self._pauses:
-                if end + offset > t:
-                    return start + offset, end + offset
-            epoch += 1
-
-    def _advance_through_pauses(self, t: int, work: int) -> int:
-        """Completion time of ``work`` cycles of service starting at ``t``,
-        frozen during GC pauses. A pause-free timeline (e.g. a crashed
-        tenant whose collections were all cancelled) serves undisturbed —
-        without this guard :meth:`_pause_after` would search the empty
-        pause list forever."""
-        if not self._pauses:
-            return t + work
-        while True:
-            start, end = self._pause_after(t)
-            if t >= start:
-                t = end  # currently inside a pause: wait it out
-                continue
-            available = start - t
-            if work <= available:
-                return t + work
-            work -= available
-            t = end
-
-    def run_queries(self, n_queries: int = 10_000,
-                    warmup: int = 1_000) -> List[QueryRecord]:
-        """Replay the schedule; returns post-warmup records.
-
-        When fewer queries arrive than the warm-up discards
-        (``n_queries <= warmup``) the returned list is empty — every query
-        was warm-up — and downstream summaries (:func:`percentile_summary`,
-        :func:`tail_ratio`) raise ``ValueError("no records")`` rather than
-        emitting NaNs.
-        """
-        rng = random.Random(self.seed)
-        records: List[QueryRecord] = []
-        prev_completion = 0
-        prev_near_gc = False
-        for i in range(n_queries):
-            intended = i * self.interval
-            service = max(
-                1000,
-                int(rng.lognormvariate(math.log(self.service_mean),
-                                       self.service_sigma)),
-            )
-            start = max(intended, prev_completion)
-            completion = self._advance_through_pauses(start, service)
-            prev_completion = completion
-            # "The colors indicate whether a query was close to a pause":
-            # either it absorbed a pause directly, or it queued behind a
-            # pause-delayed predecessor (ordinary queueing doesn't count).
-            near_gc = (completion - start > service) or (
-                start > intended and prev_near_gc
-            )
-            prev_near_gc = near_gc
-            if i >= warmup:
-                records.append(QueryRecord(i, intended, completion, near_gc))
-        return records
-
-
 @dataclass
 class ReplayResult:
     """Outcome of replaying an explicit arrival schedule.
@@ -172,16 +68,135 @@ class ReplayResult:
         return self.arrived == self.completed + self.in_flight + self.shed
 
 
-class QueryReplay(QuerySimulator):
-    """Replay an *explicit* arrival schedule against a pause timeline.
+#: Shape of the lognormal service-time distribution.
+SERVICE_SIGMA = 0.35
 
-    :meth:`QuerySimulator.run_queries` generates its own regular open-loop
-    schedule; the fleet layer instead sprays one global arrival stream
-    across tenants, so each tenant replays an irregular slice of it. For
-    the regular schedule ``[i * interval, ...]`` the two are differentially
-    identical: same seed, same service-time draws in the same order, same
-    records (asserted by the test battery).
+
+def draw_service_times(n: int, mean_cycles: int, sigma: float,
+                       seed: int) -> List[int]:
+    """The first ``n`` service times of the stream seeded by ``seed``.
+
+    Lognormal around ``mean_cycles`` with shape ``sigma``, floored at 1000
+    cycles. A replay consumes exactly one per arrival, in arrival order,
+    whether the query is then served or shed, so the list depends on
+    nothing but these four values: the fleet draws it once per tenant and
+    hands the same list to every policy's replay.
     """
+    draw = random.Random(seed).lognormvariate
+    mu = math.log(mean_cycles)
+    return [max(1000, int(draw(mu, sigma))) for _ in range(n)]
+
+
+class QueryReplay:
+    """Open-loop single-server replay of an arrival schedule over a
+    GC-pause timeline.
+
+    The fleet layer sprays one global arrival stream across tenants, so
+    each tenant replays an irregular slice of it; :class:`QuerySimulator`
+    replays Fig. 1b's regular schedule through the same loop.
+    """
+
+    def __init__(
+        self,
+        run: MutatorRunResult,
+        interval_cycles: int = 1_000_000,  # 1 ms at 1 GHz (scaled 100 ms)
+        service_mean_cycles: int = 120_000,
+        service_sigma: float = SERVICE_SIGMA,
+        seed: int = 42,
+    ):
+        self.run = run
+        self.interval = interval_cycles
+        self.service_mean = service_mean_cycles
+        self.service_sigma = service_sigma
+        self.seed = seed
+        # One period of the timeline, as parallel start/end lists; ends
+        # are sorted (``_tile_pauses`` rejects anything else), which is
+        # what the bisected lookup relies on.
+        self._period = run.total_cycles
+        pauses = self._tile_pauses(self._period)
+        self._starts = [start for start, _end in pauses]
+        self._ends = [end for _start, end in pauses]
+
+    def _tile_pauses(self, period: int) -> List[Tuple[int, int]]:
+        """Pause windows [(start, end)] of one run period; lookups tile
+        them modulo ``period`` so the schedule can extend past one
+        benchmark iteration (DaCapo loops internally).
+
+        Only a well-formed timeline tiles: pauses in start order, none
+        overlapping the one before it, none ending past ``period``.
+        Anything else would be answered wrongly (a query could be served
+        through a pause it sits inside), so it is rejected here, at
+        construction, naming the first offending pause. So is a run whose
+        pauses cover the entire window: with no mutator time for service
+        to progress, ``_advance_through_pauses`` would spin forever
+        hopping from one tiled pause straight into the next.
+        """
+        base = [(s, e) for kind, s, e in self.run.timeline() if kind == "gc"]
+        if not base or period <= 0:
+            return []
+        prev_start = prev_end = 0
+        for i, (start, end) in enumerate(base):
+            before = f"pause {i - 1} [{prev_start}, {prev_end})"
+            if start < 0 or end < start:
+                problem = "is not a window of the run"
+            elif start < prev_start:
+                problem = f"starts before {before}: pauses out of order"
+            elif start < prev_end:
+                problem = f"overlaps {before}"
+            elif end > period:
+                problem = f"ends past the run's {period} cycles"
+            else:
+                prev_start, prev_end = start, end
+                continue
+            raise ValueError(f"ill-formed pause timeline: pause {i} "
+                             f"[{start}, {end}) {problem}")
+        covered = sum(end - start for start, end in base)
+        if covered >= period:
+            raise ValueError(
+                f"GC pauses cover the entire run window ({covered} of "
+                f"{period} cycles): queries could never complete")
+        return base
+
+    def _pause_after(self, t: int) -> Tuple[int, int]:
+        """``(i, offset)``: pause ``i`` shifted by ``offset`` cycles is
+        the first tiled pause window that ends after time ``t``.
+
+        ``divmod`` places ``t`` in its epoch (which repetition of the run)
+        and bisection finds the pause within it; past the epoch's last
+        pause the answer is the next epoch's first.
+        """
+        period = self._period
+        epoch, phase = divmod(t, period)
+        i = bisect_right(self._ends, phase)
+        if i == len(self._ends):
+            return 0, (epoch + 1) * period
+        return i, epoch * period
+
+    def _advance_through_pauses(self, t: int, work: int) -> int:
+        """Completion time of ``work`` cycles of service starting at ``t``,
+        frozen during GC pauses.
+
+        One :meth:`_pause_after` lookup, then a walk pause by pause,
+        wrapping into the next epoch past the last one, only while the
+        work spans pauses. A pause-free timeline (e.g. a crashed tenant
+        whose collections were all cancelled) serves undisturbed.
+        """
+        starts, ends = self._starts, self._ends
+        if not ends:
+            return t + work
+        i, offset = self._pause_after(t)
+        while True:
+            start = starts[i] + offset
+            if t < start:
+                available = start - t
+                if work <= available:
+                    return t + work
+                work -= available
+            t = ends[i] + offset  # reached the pause: wait it out
+            i += 1
+            if i == len(ends):
+                i = 0
+                offset += self._period
 
     def replay(
         self,
@@ -190,24 +205,33 @@ class QueryReplay(QuerySimulator):
         horizon: Optional[int] = None,
         shed_backlog_cycles: Optional[int] = None,
         offline_after_cycle: Optional[int] = None,
+        services: Optional[Sequence[int]] = None,
     ) -> ReplayResult:
         """Run the schedule; latency is measured from intended arrival.
 
         ``warmup`` discards the first N records (they are still simulated —
-        they consume RNG draws and queue behind-schedule work exactly like
-        :meth:`run_queries`'s warm-up). ``horizon`` splits serviced queries
-        into completed vs in-flight at a cutoff cycle; ``None`` means no
-        cutoff (everything serviced counts as completed).
+        they consume service draws and queue behind-schedule work exactly
+        like later queries). ``horizon`` splits serviced queries into
+        completed vs in-flight at a cutoff cycle; ``None`` means no cutoff
+        (everything serviced counts as completed).
         ``shed_backlog_cycles`` models load shedding: a query arriving when
         the server is running more than that many cycles behind is dropped
         without service. ``offline_after_cycle`` models a crashed tenant
-        (fleet fault plane): arrivals at or after that cycle are shed —
-        still drawing their service time from the RNG, so the pre-crash
-        prefix replays byte-identically to the fault-free run — and stay
-        accounted by the conservation law. An empty schedule returns a
-        zero-count result.
+        (fleet fault plane): arrivals at or after that cycle are shed and
+        stay accounted by the conservation law. ``services`` gives one
+        service time per arrival, as :func:`draw_service_times` returns
+        them for this replay's count, mean, sigma and seed; ``None`` draws
+        them here. Shed queries consume their draw too, so the pre-crash
+        prefix replays byte-identically to the fault-free run. An empty
+        schedule returns a zero-count result.
         """
-        rng = random.Random(self.seed)
+        if services is None:
+            services = draw_service_times(len(arrivals), self.service_mean,
+                                          self.service_sigma, self.seed)
+        elif len(services) != len(arrivals):
+            raise ValueError(f"{len(services)} service times for "
+                             f"{len(arrivals)} arrivals")
+        advance = self._advance_through_pauses
         records: List[QueryRecord] = []
         prev_completion = 0
         prev_intended = 0
@@ -219,11 +243,6 @@ class QueryReplay(QuerySimulator):
                     f"arrival schedule must be non-decreasing: "
                     f"arrivals[{i}] == {intended} < {prev_intended}")
             prev_intended = intended
-            service = max(
-                1000,
-                int(rng.lognormvariate(math.log(self.service_mean),
-                                       self.service_sigma)),
-            )
             if (offline_after_cycle is not None
                     and intended >= offline_after_cycle):
                 shed += 1
@@ -232,8 +251,12 @@ class QueryReplay(QuerySimulator):
                     and prev_completion - intended > shed_backlog_cycles):
                 shed += 1
                 continue
+            service = services[i]
             start = max(intended, prev_completion)
-            completion = self._advance_through_pauses(start, service)
+            completion = advance(start, service)
+            # "The colors indicate whether a query was close to a pause":
+            # either it absorbed a pause directly, or it queued behind a
+            # pause-delayed predecessor (ordinary queueing doesn't count).
             near_gc = (completion - start > service) or (
                 start > intended and prev_near_gc
             )
@@ -250,6 +273,25 @@ class QueryReplay(QuerySimulator):
                             shed=shed)
 
 
+class QuerySimulator(QueryReplay):
+    """Fig. 1b's regular open-loop schedule — one query every
+    ``interval_cycles`` — replayed through :meth:`QueryReplay.replay`."""
+
+    def run_queries(self, n_queries: int = 10_000,
+                    warmup: int = 1_000) -> List[QueryRecord]:
+        """Replay ``[i * interval for i in range(n_queries)]``; returns
+        the post-warm-up records.
+
+        When fewer queries arrive than the warm-up discards
+        (``n_queries <= warmup``) the returned list is empty — every query
+        was warm-up — and downstream summaries (:func:`percentile_summary`,
+        :func:`tail_ratio`) raise ``ValueError("no records")`` rather than
+        emitting NaNs.
+        """
+        arrivals = [i * self.interval for i in range(n_queries)]
+        return self.replay(arrivals, warmup=warmup).records
+
+
 def latency_cdf(records: Sequence[QueryRecord]) -> List[Tuple[float, float]]:
     """[(latency_ms, cumulative_fraction), ...] sorted by latency."""
     if not records:
@@ -259,20 +301,32 @@ def latency_cdf(records: Sequence[QueryRecord]) -> List[Tuple[float, float]]:
     return [(lat, (i + 1) / n) for i, lat in enumerate(latencies)]
 
 
+def _sorted_latency_cycles(records: Sequence[QueryRecord]) -> List[int]:
+    """The records' latencies in cycles, ascending; raises on none."""
+    latencies = sorted(r.completion - r.intended_start for r in records)
+    if not latencies:
+        raise ValueError("no records")
+    return latencies
+
+
+def _nearest_rank_ms(latencies: Sequence[int], p: float) -> float:
+    """Nearest-rank ``p``-th percentile of sorted cycle latencies, in ms."""
+    rank = max(1, math.ceil(p / 100.0 * len(latencies)))
+    return latencies[rank - 1] / 1e6
+
+
 def percentile_summary(
     records: Sequence[QueryRecord],
     percentiles: Sequence[float] = (50.0, 90.0, 99.0, 99.9),
 ) -> dict:
-    """{"p50": ms, ..., "max": ms} latency summary of a query run."""
-    latencies = sorted(r.latency_ms for r in records)
-    if not latencies:
-        raise ValueError("no records")
-    out = {}
-    for p in percentiles:
-        rank = max(1, math.ceil(p / 100.0 * len(latencies)))
-        key = f"p{p:g}"
-        out[key] = latencies[rank - 1]
-    out["max"] = latencies[-1]
+    """{"p50": ms, ..., "max": ms} latency summary of a query run.
+
+    Sorts integer cycle latencies and converts only the reported ranks
+    to milliseconds (the same floats ``QueryRecord.latency_ms`` gives).
+    """
+    latencies = _sorted_latency_cycles(records)
+    out = {f"p{p:g}": _nearest_rank_ms(latencies, p) for p in percentiles}
+    out["max"] = latencies[-1] / 1e6
     return out
 
 
@@ -343,13 +397,7 @@ def tail_ratio(records: Sequence[QueryRecord],
                p_low: float = 50.0, p_high: float = 99.9) -> float:
     """How many times longer the p_high tail is than the median —
     the 'two orders of magnitude' stragglers of §II."""
-    latencies = sorted(r.latency_ms for r in records)
-    if not latencies:
-        raise ValueError("no records")
-
-    def pct(p: float) -> float:
-        rank = max(1, math.ceil(p / 100.0 * len(latencies)))
-        return latencies[rank - 1]
-
-    low = pct(p_low)
-    return pct(p_high) / low if low > 0 else float("inf")
+    latencies = _sorted_latency_cycles(records)
+    low = _nearest_rank_ms(latencies, p_low)
+    return (_nearest_rank_ms(latencies, p_high) / low if low > 0
+            else float("inf"))

@@ -1,10 +1,18 @@
 """Fleet replay invariants that need the real simulation stack."""
 
+import random
+
+import pytest
+
 from repro.fleet.balancer import spray, tenant_arrivals
-from repro.fleet.report import simulate_fleet
+from repro.fleet.report import derive_schedule, simulate_fleet
 from repro.fleet.spec import FleetSpec
 from repro.fleet.timeline import base_run, tenant_timeline
-from repro.workloads.latency import QueryReplay
+from repro.workloads.latency import (
+    SERVICE_SIGMA,
+    QueryReplay,
+    draw_service_times,
+)
 
 SPEC = FleetSpec(n_tenants=2, profiles_cycle=("luindex", "avrora"),
                  scale=0.008, seed=1, n_gcs=1, n_queries=400, warmup=40)
@@ -73,3 +81,60 @@ class TestConservation:
         fleet = simulate_fleet(spec)
         for report in fleet.reports.values():
             assert report.replay.conserved
+
+
+class TestSharedServiceDraws:
+    """A tenant's service times are drawn once per ``simulate_fleet``
+    call and shared by every policy's replay."""
+
+    def test_one_draw_per_arrival_across_policies(self, monkeypatch):
+        draws = 0
+        lognormvariate = random.Random.lognormvariate
+
+        def counting(self, mu, sigma):
+            nonlocal draws
+            draws += 1
+            return lognormvariate(self, mu, sigma)
+
+        monkeypatch.setattr(random.Random, "lognormvariate", counting)
+        fleet = simulate_fleet(SPEC)
+        assert len(fleet.policies) == 3
+        assert draws == SPEC.n_queries  # not one per (policy, arrival)
+
+    @pytest.mark.parametrize("case", ["clean", "shed", "crashed"])
+    def test_shared_draws_replay_like_self_drawn(self, case):
+        # Software-collector timelines: their longer pauses make the
+        # backlog check shed at two intervals.
+        interval, service = derive_schedule(SPEC)
+        horizon = SPEC.n_queries * interval
+        kwargs = {
+            "clean": {},
+            "shed": {"shed_backlog_cycles": 2 * interval},
+            "crashed": {"offline_after_cycle": horizon // 2},
+        }[case]
+        assignments = spray(SPEC.n_queries, SPEC.n_tenants, SPEC.seed)
+        for tenant in SPEC.tenants():
+            arrivals, n_warm = tenant_arrivals(assignments, interval,
+                                               tenant.index, SPEC.warmup)
+            sim = QueryReplay(
+                tenant_timeline(base_run(tenant.benchmark, "sw",
+                                         SPEC.scale, SPEC.seed,
+                                         SPEC.n_gcs),
+                                tenant.phase_frac),
+                interval_cycles=interval, service_mean_cycles=service,
+                seed=tenant.seed)
+            services = draw_service_times(len(arrivals), service,
+                                          SERVICE_SIGMA, tenant.seed)
+            shared = sim.replay(arrivals, warmup=n_warm, horizon=horizon,
+                                services=services, **kwargs)
+            assert shared == sim.replay(arrivals, warmup=n_warm,
+                                        horizon=horizon, **kwargs)
+            if case != "clean":
+                assert shared.shed > 0
+
+    def test_service_count_must_match_arrivals(self):
+        sim = QueryReplay(tenant_timeline(
+            base_run("luindex", "hw", SPEC.scale, SPEC.seed, SPEC.n_gcs),
+            0.0))
+        with pytest.raises(ValueError, match="2 service times for 3"):
+            sim.replay([0, 1, 2], services=[1000, 1000])

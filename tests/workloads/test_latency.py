@@ -1,7 +1,7 @@
 """Query-latency simulation: pause freezing and coordinated omission."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.latency import (
@@ -28,6 +28,65 @@ def synthetic_run(pause_at=1_000_000, pause_len=500_000,
         cursor += pause_len
     run.mutator_cycles = n_pauses * pause_at
     return run
+
+
+def windowed_run(windows, period):
+    """A run whose pause windows are exactly ``[(start, end), ...]`` (in
+    the given order) over a ``period``-cycle timeline."""
+    run = MutatorRunResult(collector="sw")
+    for i, (start, end) in enumerate(windows):
+        run.pauses.append(GCPauseRecord(
+            index=i, start_cycle=start, mark_cycles=end - start,
+            sweep_cycles=0, objects_marked=0, cells_freed=0,
+        ))
+    run.mutator_cycles = period - run.gc_cycles
+    return run
+
+
+def linear_pause_after(windows, period, t):
+    """The first tiled pause window ending after ``t``, by linear scan
+    over every epoch from ``t``'s (the lookup before bisection)."""
+    epoch = t // period
+    while True:
+        offset = epoch * period
+        for start, end in windows:
+            if end + offset > t:
+                return start + offset, end + offset
+        epoch += 1
+
+
+def linear_advance(windows, period, t, work):
+    """Reference ``_advance_through_pauses``: one linear scan per pause
+    the work meets."""
+    if not windows:
+        return t + work
+    while True:
+        start, end = linear_pause_after(windows, period, t)
+        if t >= start:
+            t = end
+            continue
+        available = start - t
+        if work <= available:
+            return t + work
+        work -= available
+        t = end
+
+
+@st.composite
+def well_formed_timelines(draw):
+    """``(windows, period)``: in order, non-overlapping, inside the period
+    and leaving mutator time. Small gaps make boundary cases common:
+    zero-length pauses, a pause at cycle 0, one ending at the period."""
+    n = draw(st.integers(1, 6))
+    windows = []
+    cursor = 0
+    for _ in range(n):
+        start = cursor + draw(st.integers(0, 40))
+        cursor = start + draw(st.integers(0, 40))
+        windows.append((start, cursor))
+    period = cursor + draw(st.integers(0, 40))
+    assume(period > sum(end - start for start, end in windows))
+    return windows, period
 
 
 class TestPauseFreezing:
@@ -138,6 +197,56 @@ class TestEdgeCases:
                           seed=1)
         with pytest.raises(ValueError, match="non-decreasing"):
             sim.replay([0, 200_000, 100_000])
+
+
+class TestWellFormedTimeline:
+    """Pause windows that cannot tile are rejected at construction, naming
+    the offending pause; before, they were accepted and answered wrongly."""
+
+    @pytest.mark.parametrize("windows, message", [
+        # Out of order: a query at t=50 used to be served straight
+        # through [0, 100).
+        ([(200, 300), (0, 100)],
+         r"pause 1 \[0, 100\) starts before pause 0 \[200, 300\): "
+         r"pauses out of order"),
+        ([(0, 200), (100, 300)],
+         r"pause 1 \[100, 300\) overlaps pause 0 \[0, 200\)"),
+        ([(100, 200), (900, 1100)],
+         r"pause 1 \[900, 1100\) ends past the run's 1000 cycles"),
+        ([(-100, 50)], r"pause 0 \[-100, 50\) is not a window of the run"),
+    ], ids=["out-of-order", "overlapping", "past-the-end", "negative"])
+    def test_ill_formed_timeline_rejected(self, windows, message):
+        with pytest.raises(ValueError, match=message):
+            QueryReplay(windowed_run(windows, period=1000))
+
+    def test_boundary_shapes_accepted(self):
+        """Touching, zero-length, at-zero and at-period pauses tile."""
+        run = windowed_run([(0, 100), (100, 100), (100, 250), (900, 1000)],
+                           period=1000)
+        sim = QueryReplay(run)
+        assert sim._advance_through_pauses(0, 1) == 251
+        assert sim._advance_through_pauses(899, 2) == 1251
+
+
+class TestPauseLookup:
+    """The bisected lookup against the linear scan it replaced."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(timeline=well_formed_timelines(), data=st.data())
+    def test_lookup_matches_linear_scan(self, timeline, data):
+        windows, period = timeline
+        sim = QueryReplay(windowed_run(windows, period))
+        edges = sorted({0, period - 1} | {c for w in windows for c in w})
+        phase = data.draw(st.one_of(st.sampled_from(edges),
+                                    st.integers(0, period - 1)))
+        t = data.draw(st.integers(0, 5)) * period + phase
+        work = data.draw(st.one_of(st.integers(0, 2 * period),
+                                   st.integers(0, 40 * period)))
+        i, offset = sim._pause_after(t)
+        assert (windows[i][0] + offset, windows[i][1] + offset) == \
+            linear_pause_after(windows, period, t)
+        assert sim._advance_through_pauses(t, work) == \
+            linear_advance(windows, period, t, work)
 
 
 class TestQueryReplay:
