@@ -8,15 +8,14 @@ Commands:
 * ``compare <benchmark> [opts]``— one SW-vs-HW collection on one profile.
 * ``area``                      — print the Fig. 22 area tables.
 * ``run-all [--jobs N] [--out EXPERIMENTS.md] [--only ids]
-  [--resume DIR] [--timeout S] [--retries N] [--keep-going]
-  [--shard-figures]``
+  [--timeout S] [--retries N] [--keep-going] [--shard-figures]``
                                 — regenerate the full figure set, fanning
                                   experiments across a persistent worker
                                   pool with per-task timeouts, bounded
-                                  retries, resumable checkpoints,
-                                  intra-figure sharding, and the
+                                  retries, intra-figure sharding, and the
                                   ``REPRO_SIM_CACHE`` content-addressed
-                                  result cache.
+                                  result cache (rerunning against the
+                                  same cache resumes an interrupted run).
 * ``trace <figure|profile> [opts]``
                                 — capture a cycle-stamped trace of one GC
                                   and export it (Chrome trace / JSONL / CSV).
@@ -96,7 +95,8 @@ def _cmd_area(_args) -> int:
 def _cmd_run_all(args) -> int:
     import time
 
-    from repro.harness.checkpoint import CheckpointError, open_store
+    from repro.harness import simcache
+    from repro.harness.diskcache import max_mb_from_env
     from repro.harness.faults import FaultSpecError
     from repro.harness.parallel import (
         SuiteRunError,
@@ -105,7 +105,6 @@ def _cmd_run_all(args) -> int:
         run_suite,
         write_report,
     )
-    from repro.harness.suite import select
 
     # Count constraints first, as _cmd_fleet does: a negative --timeout
     # would put every deadline in the past, 0 would silently disable it,
@@ -121,29 +120,32 @@ def _cmd_run_all(args) -> int:
         return 2
     jobs = args.jobs if args.jobs else default_jobs()
     only = args.only.split(",") if args.only else None
+    cache_dir = simcache.cache_dir_from_env()
+    if cache_dir is None and simcache.configured_cache_dir() is not None:
+        # The one case where a rerun against the cache recomputes
+        # everything; say so rather than let it look like a cold cache.
+        print("sim cache: bypassed (REPRO_HWFAULTS is armed)", flush=True)
     t0 = time.time()
     try:
-        entries = select(only)
-        tasks = [(i, exp_id, kwargs)
-                 for i, (exp_id, kwargs) in enumerate(entries)]
-        store = open_store(args.resume, tasks)
+        # Parse the cache caps here, not on a worker's first write.
+        for var in ("REPRO_SIM_CACHE_MAX_MB", "REPRO_HEAP_CACHE_MAX_MB"):
+            max_mb_from_env(var)
         runs = run_suite(jobs=jobs, only=only,
                          progress=lambda msg: print(msg, flush=True),
                          timeout=args.timeout, retries=args.retries,
-                         keep_going=args.keep_going, store=store,
+                         keep_going=args.keep_going,
                          shard_figures=args.shard_figures)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    except (CheckpointError, FaultSpecError, ValueError) as exc:
+    except (FaultSpecError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
     except SuiteRunError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
-        if args.resume:
-            print(f"completed entries are checkpointed in {args.resume}; "
-                  f"rerun with --resume {args.resume} to continue",
-                  file=sys.stderr)
+        if cache_dir is not None:
+            print(f"completed cells are cached in {cache_dir}; rerun with "
+                  "the same REPRO_SIM_CACHE to continue", file=sys.stderr)
         return 1
     elapsed = time.time() - t0
     if args.out:
@@ -392,9 +394,6 @@ def main(argv=None) -> int:
                             help="comma-separated experiment ids")
     all_parser.add_argument("--digests", action="store_true",
                             help="print per-figure determinism fingerprints")
-    all_parser.add_argument("--resume", default=None, metavar="DIR",
-                            help="checkpoint completed figures here and "
-                            "resume a previous run from the same directory")
     all_parser.add_argument("--timeout", type=float, default=None,
                             metavar="SECONDS",
                             help="kill and reschedule a figure that runs "

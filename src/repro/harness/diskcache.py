@@ -1,37 +1,103 @@
-"""Shared on-disk cache plumbing: atomic writes, LRU eviction, size caps.
+"""Shared on-disk cache plumbing: envelope, atomic writes, LRU, size caps.
 
 Both content-addressed caches — the heap-build cache
 (:mod:`repro.harness.heapcache`, ``REPRO_HEAP_CACHE``) and the simulation
 result cache (:mod:`repro.harness.simcache`, ``REPRO_SIM_CACHE``) — share
 the same disk discipline:
 
+* the directory comes from one env grammar (:func:`cache_dir_from_env`);
 * writes are tmp + ``os.replace`` so concurrent workers never observe a
   torn entry;
+* JSON entries sit in a schema-versioned envelope with an embedded sha256
+  over the payload (:func:`wrap_payload`/:func:`unwrap_payload`), so
+  truncation, bit-rot or hand-editing is detected rather than misparsed;
 * the directory is a *bounded* LRU: with a ``*_MAX_MB`` cap configured,
   the least-recently-used entries (by mtime; readers ``os.utime`` on hit)
   are evicted after each write until the directory fits the cap;
-* disk trouble is never fatal — a cache is an optimization, so every
-  helper here swallows ``OSError`` and degrades to "no cache".
+* disk trouble is never fatal — a cache is an optimization, so the IO
+  helpers here swallow ``OSError`` and degrade to "no cache". A malformed
+  *setting* is different: :func:`max_mb_from_env` rejects it loudly.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import os
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+#: Bump when the envelope layout changes; old entries then fail to unwrap
+#: and are recomputed rather than misparsed.
+ENVELOPE_SCHEMA = 1
+
+
+def cache_dir_from_env(var: str, default_subdir: str) -> Optional[Path]:
+    """A cache directory from ``var``, or ``None`` when disabled.
+
+    Empty/``0``/``off``/``no`` disables; ``1`` means
+    ``~/.cache/<default_subdir>``; anything else is used as the directory.
+    """
+    raw = os.environ.get(var, "")
+    if raw in ("", "0", "off", "no"):
+        return None
+    if raw == "1":
+        return Path.home() / ".cache" / default_subdir
+    return Path(raw)
 
 
 def max_mb_from_env(var: str) -> Optional[float]:
-    """Parse a ``*_MAX_MB`` cap; unset/empty/invalid/non-positive → None."""
-    raw = os.environ.get(var, "")
+    """Parse a ``*_MAX_MB`` cap; unset or empty means no cap (``None``).
+
+    Anything but a positive number raises :class:`ValueError` naming the
+    variable and its value: a typo must not leave the cache unbounded.
+    """
+    raw = os.environ.get(var, "").strip()
     if not raw:
         return None
     try:
         cap = float(raw)
     except ValueError:
-        return None
-    return cap if cap > 0 else None
+        cap = math.nan
+    if not cap > 0:  # also rejects NaN
+        raise ValueError(
+            f"{var} must be a positive number of megabytes, got {raw!r}")
+    return cap
+
+
+def dumps(payload: Any) -> str:
+    """Canonical JSON: sorted keys so an embedded sha256 is reproducible,
+    and Python's NaN/Infinity dialect so such floats round-trip."""
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True,
+                      allow_nan=True)
+
+
+def wrap_payload(payload: Dict[str, Any]) -> str:
+    """Serialize ``payload`` inside the schema + sha256 envelope."""
+    body = dumps(payload)
+    sha = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return dumps({"schema": ENVELOPE_SCHEMA, "sha256": sha,
+                  "payload_json": body})
+
+
+def unwrap_payload(text: str) -> Dict[str, Any]:
+    """Validate an envelope and return its payload.
+
+    Raises :class:`ValueError` when the text is not JSON (a truncated
+    write raises ``json.JSONDecodeError``, a subclass), has no envelope,
+    carries a foreign schema, or fails its sha256.
+    """
+    doc = json.loads(text)
+    body = doc.get("payload_json") if isinstance(doc, dict) else None
+    if not isinstance(body, str):
+        raise ValueError("missing envelope")
+    if doc.get("schema") != ENVELOPE_SCHEMA:
+        raise ValueError(f"schema {doc.get('schema')!r} != {ENVELOPE_SCHEMA}")
+    if hashlib.sha256(body.encode("utf-8")).hexdigest() != doc.get("sha256"):
+        raise ValueError("sha256 mismatch: entry corrupted or hand-edited")
+    return json.loads(body)
 
 
 def atomic_write_bytes(path: Path, blob: bytes) -> bool:

@@ -43,8 +43,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.harness.diskcache import atomic_write_bytes, evict_lru, \
-    max_mb_from_env, touch
+from repro.harness.diskcache import (
+    atomic_write_bytes,
+    cache_dir_from_env,
+    evict_lru,
+    max_mb_from_env,
+    touch,
+)
 from repro.heap.heapimage import HeapCheckpoint, ManagedHeap
 from repro.memory.config import MemorySystemConfig
 from repro.workloads.graphgen import BuiltHeap, HeapGraphBuilder
@@ -91,15 +96,6 @@ def _effective_config(
         return config
     builder = HeapGraphBuilder(profile, scale=scale)
     return builder._default_config(profile.scaled_objects(scale))
-
-
-def _cache_dir_from_env() -> Optional[Path]:
-    raw = os.environ.get("REPRO_HEAP_CACHE", "")
-    if raw in ("", "0", "off", "no"):
-        return None
-    if raw == "1":
-        return Path.home() / ".cache" / "repro-heaps"
-    return Path(raw)
 
 
 class HeapBuildCache:
@@ -272,7 +268,8 @@ def get_cache() -> HeapBuildCache:
     global _GLOBAL
     if _GLOBAL is None:
         _GLOBAL = HeapBuildCache(entries=_entries_from_env(),
-                                 disk_dir=_cache_dir_from_env())
+                                 disk_dir=cache_dir_from_env(
+                                     "REPRO_HEAP_CACHE", "repro-heaps"))
     return _GLOBAL
 
 

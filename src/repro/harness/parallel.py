@@ -1,4 +1,4 @@
-"""Fault-tolerant parallel figure pipeline with retries and checkpoints.
+"""Fault-tolerant parallel figure pipeline with retries.
 
 ``run_suite(jobs=N)`` runs every entry of :data:`repro.harness.suite.SUITE`
 (or a subset) and merges results deterministically:
@@ -35,10 +35,12 @@ pre-retry pipeline):
   going; ``render_report`` annotates the failure instead of aborting.
   Without ``keep_going`` the first exhausted entry raises
   :class:`SuiteRunError` carrying the partial results;
-* **checkpoints** (``store=``) — completed entries are saved atomically
-  through :class:`repro.harness.checkpoint.CheckpointStore` as they
-  finish, so an interrupted run (including ``KeyboardInterrupt``, which
-  tears the pool down cleanly) resumes re-executing only what's missing.
+* **resume** — there is no run directory of its own. With
+  ``REPRO_SIM_CACHE`` set, every cell is persisted by
+  :mod:`repro.harness.simcache` as it completes, so an interrupted run
+  (including ``KeyboardInterrupt``, which tears the pool down cleanly)
+  is resumed by rerunning against the same cache: finished cells are
+  hits and only the missing ones are simulated.
 
 Fault *injection* for exercising these paths lives in
 :mod:`repro.harness.faults` (``REPRO_FAULTS`` env spec). The parent
@@ -80,8 +82,8 @@ class SuiteRunError(RuntimeError):
     """An entry exhausted its retries and ``keep_going`` was off.
 
     ``failed`` is the failed entry's record; ``runs`` holds everything
-    that completed before the abort (checkpointed if a store was given,
-    so ``--resume`` picks up from here).
+    that completed before the abort (its cells are in the sim cache when
+    ``REPRO_SIM_CACHE`` is set, so a rerun picks up from here).
     """
 
     def __init__(self, failed: FigureRun, runs: List[FigureRun]):
@@ -191,14 +193,13 @@ class _Scheduler:
     """Shared bookkeeping for the inline and pooled execution paths."""
 
     def __init__(self, *, retries: int, backoff: float, keep_going: bool,
-                 store, say: Callable[[str], None],
-                 completed: Dict[int, FigureRun]):
+                 say: Callable[[str], None]):
         self.retries = max(0, retries)
         self.backoff = backoff
         self.keep_going = keep_going
-        self.store = store
         self.say = say
-        self.completed = completed
+        #: finished entries (ok or failed), keyed by suite index
+        self.completed: Dict[int, FigureRun] = {}
 
     @property
     def max_attempts(self) -> int:
@@ -212,8 +213,6 @@ class _Scheduler:
         run.attempts = state.attempts
         run.attempt_history = list(state.history)
         self.completed[state.index] = run
-        if self.store is not None:
-            self.store.save(run)
         note = (f" (attempt {state.attempts}/{self.max_attempts})"
                 if state.attempts > 1 else "")
         self.say(f"  {run.exp_id} done in {run.elapsed:.0f}s{note}")
@@ -244,8 +243,6 @@ class _Scheduler:
             attempt_history=list(state.history),
         )
         self.completed[state.index] = run
-        if self.store is not None:
-            self.store.save(run)
         self.say(f"  {state.exp_id} FAILED after {state.attempts} "
                  f"attempt(s): {error}")
         if not self.keep_going:
@@ -471,15 +468,11 @@ def run_suite(
     retries: int = 0,
     backoff: float = DEFAULT_BACKOFF,
     keep_going: bool = False,
-    store=None,
     fault_plan: Optional[faults.FaultPlan] = None,
     shard_figures: bool = False,
 ) -> List[FigureRun]:
     """Run the figure suite with ``jobs`` workers; results in suite order.
 
-    ``store`` (a :class:`~repro.harness.checkpoint.CheckpointStore`)
-    enables resume: entries already checkpointed are loaded instead of
-    re-run, and new completions are checkpointed as they land.
     ``fault_plan`` defaults to the ``REPRO_FAULTS`` environment spec.
     Entries that exhaust ``retries`` raise :class:`SuiteRunError`, or —
     with ``keep_going`` — come back as ``FigureRun(status="failed")``
@@ -491,27 +484,15 @@ def run_suite(
     worker pool, then the remaining entries fan out one-per-worker.
     Digests are unchanged across all of it.
     """
-    entries = select(only)
-    tasks = [(i, exp_id, kwargs) for i, (exp_id, kwargs) in enumerate(entries)]
+    states = [_TaskState(index=i, exp_id=exp_id, kwargs=kwargs)
+              for i, (exp_id, kwargs) in enumerate(select(only))]
     say = progress if progress is not None else (lambda msg: None)
     if fault_plan is None:
         fault_plan = faults.plan_from_env()
 
-    completed: Dict[int, FigureRun] = {}
-    if store is not None:
-        completed = store.load_completed()
-        for path in store.corrupt:
-            say(f"  discarding corrupt checkpoint {path.name}; will re-run")
-        if completed:
-            say(f"resuming: {len(completed)}/{len(tasks)} entries already "
-                "complete")
-
-    states = [_TaskState(index=i, exp_id=exp_id, kwargs=kwargs)
-              for i, exp_id, kwargs in tasks if i not in completed]
     sched = _Scheduler(retries=retries, backoff=backoff,
-                       keep_going=keep_going, store=store, say=say,
-                       completed=completed)
-    if states and shard_figures and jobs > 1:
+                       keep_going=keep_going, say=say)
+    if shard_figures and jobs > 1:
         from repro.harness.sharding import can_shard, run_entry_sharded
 
         sharded = [s for s in states if can_shard(s.exp_id, s.kwargs, jobs)]
@@ -530,7 +511,7 @@ def run_suite(
         else:
             _run_persistent_pool(states, jobs, sched, fault_plan, timeout,
                                  say)
-    return _ordered(completed)
+    return _ordered(sched.completed)
 
 
 def digests(runs: Sequence[FigureRun]) -> Dict[str, str]:

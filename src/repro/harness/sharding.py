@@ -21,8 +21,9 @@ contiguous and merged in order, so row order is preserved; and summary
 rows (fig15/fig17 geomeans) are recomputed from the merged rows' float
 values in the same left-to-right order the unsharded code folds them, so
 even the floating-point summation order matches. The per-shard digests are
-recorded on the :class:`~repro.harness.suite.FigureRun` (and in its
-checkpoint) for forensics, but excluded from the figure digest itself.
+recorded on the :class:`~repro.harness.suite.FigureRun` for forensics, but
+excluded from the figure digest itself; they are never persisted, so every
+sharded run recomputes them, including one served from the sim cache.
 
 The same :class:`ShardSpec` machinery backs the content-addressed
 simulation result cache (:mod:`repro.harness.simcache`): a cache-enabled

@@ -27,12 +27,17 @@ The cell key covers, via sha256 over canonical JSON:
   silently masks a code change would corrupt the determinism story the
   digests exist to protect.
 
-Entries reuse :mod:`repro.harness.checkpoint`'s envelope — schema version
-plus an embedded sha256 over the payload JSON — so truncation, bit-rot, or
-hand-editing surfaces as :class:`~repro.harness.checkpoint.CheckpointCorrupt`
-and the cell is transparently re-simulated and overwritten. Writes are
-atomic (tmp + rename) and the directory is LRU-capped by
-``REPRO_SIM_CACHE_MAX_MB`` (:mod:`repro.harness.diskcache`).
+Entries sit in :mod:`repro.harness.diskcache`'s envelope — schema
+version plus an embedded sha256 over the payload JSON — so truncation,
+bit-rot, or hand-editing fails to unwrap and the cell is transparently
+re-simulated and overwritten. Writes are atomic (tmp + rename) and the
+directory is LRU-capped by ``REPRO_SIM_CACHE_MAX_MB``.
+
+The cache is also how an interrupted ``run-all`` resumes: every finished
+cell is on disk the moment it completes, so rerunning against the same
+``REPRO_SIM_CACHE`` serves those cells as hits and simulates only the
+missing ones. Because the code fingerprint is in every key, a rerun after
+a source edit recomputes instead of splicing in results from older code.
 
 Cached cells carry rows only, never ``extras`` (those can hold heavy or
 unpicklable simulation objects); the rendered report does not read
@@ -49,19 +54,21 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.harness.checkpoint import (
-    CheckpointCorrupt,
-    atomic_write_text,
+from repro.harness import diskcache
+from repro.harness.diskcache import (
+    atomic_write_bytes,
+    dumps,
+    evict_lru,
+    max_mb_from_env,
+    touch,
     unwrap_payload,
     wrap_payload,
 )
-from repro.harness.diskcache import evict_lru, max_mb_from_env, touch
 
 #: Bump when the cell payload layout changes; old entries then miss.
 CELL_SCHEMA = 1
@@ -80,22 +87,20 @@ class CellAccounting:
         return (self.hits, self.misses)
 
 
-def cache_dir_from_env() -> Optional[Path]:
-    """The configured cache directory, or ``None`` when disabled.
+def configured_cache_dir() -> Optional[Path]:
+    """The ``REPRO_SIM_CACHE`` directory, ignoring the fault-plane bypass."""
+    return diskcache.cache_dir_from_env("REPRO_SIM_CACHE", "repro-simcache")
 
-    ``REPRO_SIM_CACHE``: empty/``0``/``off``/``no`` disables; ``1`` means
-    ``~/.cache/repro-simcache``; anything else is used as the directory.
+
+def cache_dir_from_env() -> Optional[Path]:
+    """The cache directory in effect, or ``None`` when disabled.
+
     An armed ``REPRO_HWFAULTS`` plane disables the cache outright (see
     module docstring).
     """
     if os.environ.get("REPRO_HWFAULTS"):
         return None
-    raw = os.environ.get("REPRO_SIM_CACHE", "")
-    if raw in ("", "0", "off", "no"):
-        return None
-    if raw == "1":
-        return Path.home() / ".cache" / "repro-simcache"
-    return Path(raw)
+    return configured_cache_dir()
 
 
 _CODE_FINGERPRINT: Optional[str] = None
@@ -154,14 +159,9 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _dumps(payload: Any) -> str:
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True,
-                      allow_nan=True)
-
-
 def cell_key(exp_id: str, kwargs: Dict[str, Any]) -> str:
     """The content address of one cell: inputs + code."""
-    payload = _dumps({
+    payload = dumps({
         "schema": CELL_SCHEMA,
         "exp_id": exp_id,
         "kwargs": _jsonable(kwargs),
@@ -206,9 +206,8 @@ def _cached_call(cache_dir: Path, exp_id: str, kwargs: Dict[str, Any],
         text = None
     if text is not None:
         try:
-            payload = unwrap_payload(text, path)
-            result = _result_from_payload(payload)
-        except (CheckpointCorrupt, KeyError, TypeError, ValueError):
+            result = _result_from_payload(unwrap_payload(text))
+        except (KeyError, TypeError, ValueError):
             # Torn/rotted/hand-edited entry: fall through and re-simulate;
             # the fresh write below overwrites it.
             pass
@@ -219,13 +218,11 @@ def _cached_call(cache_dir: Path, exp_id: str, kwargs: Dict[str, Any],
 
     result = ALL_EXPERIMENTS[exp_id](**kwargs)
     acct.misses += 1
-    try:
-        atomic_write_text(path, wrap_payload(_result_to_payload(result)))
-    except OSError:
-        # The cache is an optimization; never let disk trouble fail a run.
-        return result
-    evict_lru(cache_dir, max_mb_from_env("REPRO_SIM_CACHE_MAX_MB"),
-              suffix=CELL_SUFFIX)
+    # The cache is an optimization; disk trouble never fails a run.
+    blob = wrap_payload(_result_to_payload(result)).encode("utf-8")
+    if atomic_write_bytes(path, blob):
+        evict_lru(cache_dir, max_mb_from_env("REPRO_SIM_CACHE_MAX_MB"),
+                  suffix=CELL_SUFFIX)
     return result
 
 

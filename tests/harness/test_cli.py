@@ -49,6 +49,30 @@ class TestCLI:
         err = capsys.readouterr().err
         assert flag in err and f"(got {shown})" in err
 
+    @pytest.mark.parametrize("var", ["REPRO_SIM_CACHE_MAX_MB",
+                                     "REPRO_HEAP_CACHE_MAX_MB"])
+    def test_run_all_rejects_bad_cache_cap_before_running(
+            self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "banana")
+        assert main(["run-all", "--only", "fig22"]) == 2
+        captured = capsys.readouterr()
+        assert var in captured.err and "'banana'" in captured.err
+        assert "running fig22" not in captured.out
+
+    def test_run_all_says_when_the_sim_cache_is_bypassed(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
+        monkeypatch.setenv("REPRO_HWFAULTS", "drop:dram:1000000000")
+        assert main(["run-all", "--only", "fig22"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("sim cache: bypassed (REPRO_HWFAULTS is armed)") == 1
+        assert "hit(s)" not in out
+        monkeypatch.delenv("REPRO_HWFAULTS")
+        assert main(["run-all", "--only", "fig22"]) == 0
+        out = capsys.readouterr().out
+        assert "bypassed" not in out
+        assert "sim cache: 0 hit(s), 1 simulated cell(s)" in out
+
 
 class TestTraceCommand:
     def test_chrome_export_is_valid(self, capsys, tmp_path):

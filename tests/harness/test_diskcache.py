@@ -1,19 +1,43 @@
-"""Shared disk-cache plumbing: size caps, atomic writes, LRU eviction.
+"""Shared disk-cache plumbing: dir grammar, size caps, envelope, atomic
+writes, LRU eviction.
 
 Both on-disk caches (heap builds and simulation cells) route through
 :mod:`repro.harness.diskcache`; these tests pin the discipline they rely
-on — caps parse defensively, writes are all-or-nothing, eviction is LRU
-by mtime and never touches in-flight ``.tmp`` files or foreign suffixes.
+on — one directory grammar, caps that reject malformed values, an
+envelope that detects torn or edited entries, all-or-nothing writes, and
+eviction that is LRU by mtime and never touches in-flight ``.tmp`` files
+or foreign suffixes.
 """
 
+import json
 import os
+from pathlib import Path
+
+import pytest
 
 from repro.harness.diskcache import (
     atomic_write_bytes,
+    cache_dir_from_env,
     evict_lru,
     max_mb_from_env,
     touch,
+    unwrap_payload,
+    wrap_payload,
 )
+
+
+class TestCacheDirFromEnv:
+    def test_grammar(self, monkeypatch):
+        for raw in ("", "0", "off", "no"):
+            monkeypatch.setenv("DIR", raw)
+            assert cache_dir_from_env("DIR", "sub") is None
+        monkeypatch.delenv("DIR")
+        assert cache_dir_from_env("DIR", "sub") is None
+        monkeypatch.setenv("DIR", "1")
+        assert cache_dir_from_env("DIR", "sub") == \
+            Path.home() / ".cache" / "sub"
+        monkeypatch.setenv("DIR", "/some/where")
+        assert cache_dir_from_env("DIR", "sub") == Path("/some/where")
 
 
 class TestMaxMbFromEnv:
@@ -21,12 +45,44 @@ class TestMaxMbFromEnv:
         monkeypatch.setenv("CAP", "12.5")
         assert max_mb_from_env("CAP") == 12.5
 
-    def test_unset_empty_invalid_nonpositive_all_disable(self, monkeypatch):
+    def test_unset_and_empty_mean_no_cap(self, monkeypatch):
         monkeypatch.delenv("CAP", raising=False)
         assert max_mb_from_env("CAP") is None
-        for raw in ("", "banana", "0", "-5"):
-            monkeypatch.setenv("CAP", raw)
-            assert max_mb_from_env("CAP") is None
+        monkeypatch.setenv("CAP", "")
+        assert max_mb_from_env("CAP") is None
+
+    @pytest.mark.parametrize("raw", ["banana", "nan", "0", "-5"])
+    def test_invalid_and_nonpositive_are_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("CAP", raw)
+        with pytest.raises(ValueError, match=f"CAP .*'{raw}'"):
+            max_mb_from_env("CAP")
+
+
+class TestEnvelope:
+    def test_round_trip(self):
+        payload = {"rows": [[1, "héap", float("inf")]], "empty": []}
+        assert unwrap_payload(wrap_payload(payload)) == payload
+
+    def test_truncated_entry_rejected(self):
+        text = wrap_payload({"rows": [1, 2, 3]})
+        with pytest.raises(ValueError):
+            unwrap_payload(text[: len(text) // 2])
+
+    def test_flipped_payload_byte_fails_the_sha(self):
+        doc = json.loads(wrap_payload({"title": "table"}))
+        doc["payload_json"] = doc["payload_json"].replace("table", "tadle")
+        with pytest.raises(ValueError, match="sha256 mismatch"):
+            unwrap_payload(json.dumps(doc))
+
+    def test_foreign_schema_rejected(self):
+        doc = json.loads(wrap_payload({"title": "table"}))
+        doc["schema"] = 999
+        with pytest.raises(ValueError, match="schema"):
+            unwrap_payload(json.dumps(doc))
+
+    def test_missing_envelope_rejected(self):
+        with pytest.raises(ValueError, match="missing envelope"):
+            unwrap_payload(json.dumps({"title": "table"}))
 
 
 class TestAtomicWrite:

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.harness import parallel
-from repro.harness.checkpoint import CheckpointStore
 from repro.harness.faults import (
     Fault,
     FaultInjected,
@@ -23,14 +22,9 @@ from repro.harness.faults import (
     plan_from_env,
 )
 from repro.harness.parallel import SuiteRunError, digests, run_suite
-from repro.harness.suite import select
 
 ONLY = ["fig22", "abl_barriers"]  # static models: instant
 BACKOFF = 0.01
-
-
-def _tasks():
-    return [(i, e, k) for i, (e, k) in enumerate(select(ONLY))]
 
 
 @pytest.fixture(autouse=True)
@@ -150,11 +144,13 @@ class TestHangRecovery:
 
 
 class TestKeyboardInterrupt:
-    def test_pool_torn_down_checkpoints_intact(self, tmp_path):
-        """Ctrl-C mid-run: workers reaped, completed figures checkpointed,
-        and a later --resume finishes only what's missing."""
+    def test_pool_torn_down_rerun_resumes_from_cache(self, tmp_path,
+                                                     monkeypatch):
+        """Ctrl-C mid-run: workers reaped, the finished figure's cell is
+        cached, and a rerun against the same cache hits it."""
+        monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
         clean = run_suite(jobs=2, only=ONLY)
-        store = CheckpointStore.open(tmp_path / "run", _tasks())
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
 
         def interrupt_after_first_done(msg):
             if "done" in msg:
@@ -165,18 +161,16 @@ class TestKeyboardInterrupt:
         plan = FaultPlan(faults=(Fault("hang", "fig22", None),),
                          hang_seconds=600.0)
         with pytest.raises(KeyboardInterrupt):
-            run_suite(jobs=2, only=ONLY, store=store, backoff=BACKOFF,
+            run_suite(jobs=2, only=ONLY, backoff=BACKOFF,
                       progress=interrupt_after_first_done, fault_plan=plan)
         assert multiprocessing.active_children() == []
 
-        completed = store.load_completed()
-        assert [r.exp_id for r in completed.values()] == ["abl_barriers"]
-        assert not store.corrupt
-
-        resumed = run_suite(jobs=2, only=ONLY, store=store)
-        assert digests(resumed) == digests(clean)
-        assert parallel.render_report(resumed) == \
-            parallel.render_report(clean)
+        resumed = {r.exp_id: r for r in run_suite(jobs=2, only=ONLY)}
+        assert (resumed["abl_barriers"].cache_hits,
+                resumed["abl_barriers"].cache_misses) == (1, 0)
+        assert (resumed["fig22"].cache_hits,
+                resumed["fig22"].cache_misses) == (0, 1)
+        assert digests(resumed.values()) == digests(clean)
 
 
 class TestCLIRecovery:
@@ -212,6 +206,24 @@ class TestCLIRecovery:
         assert code == 1
         assert "FAILED fig22" in captured.err
         assert "fig22: FAILED" in out.read_text()
+
+    def test_abort_names_the_cache_and_rerun_resumes(self, monkeypatch,
+                                                     capsys, tmp_path):
+        """An aborted run points at its cache; the rerun serves the cell
+        that finished and simulates only the one that failed."""
+        from repro.__main__ import main
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
+        monkeypatch.setenv("REPRO_FAULTS", "raise:abl_barriers:*")
+        args = ["run-all", "--jobs", "1", "--only", ",".join(ONLY)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"completed cells are cached in {tmp_path / 'cells'}" in err
+        assert "rerun with the same REPRO_SIM_CACHE to continue" in err
+
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert main(args) == 0
+        assert "sim cache: 1 hit(s), 1 simulated cell(s)" in \
+            capsys.readouterr().out
 
     def test_bad_fault_spec_exits_2(self, monkeypatch, capsys):
         from repro.__main__ import main

@@ -3,8 +3,9 @@
 The whole value of :mod:`repro.harness.sharding` rests on one invariant —
 a figure split across worker processes renders the byte-identical table
 (same digest) as the inline run — plus honest bookkeeping: per-shard
-digests land on the ``FigureRun`` and round-trip through checkpoints, and
-non-shardable entries silently fall back to the inline path.
+digests land on the ``FigureRun`` (recomputed on every sharded run, warm
+sim cache included), and non-shardable entries silently fall back to the
+inline path.
 """
 
 import multiprocessing
@@ -26,7 +27,7 @@ from repro.harness.sharding import (
     run_entry_sharded,
     split_axis,
 )
-from repro.harness.suite import FigureRun, run_entry
+from repro.harness.suite import run_entry
 from repro.workloads.profiles import BENCHMARK_ORDER
 
 SCALE = 0.008
@@ -226,29 +227,21 @@ class TestShardFailure:
             run_entry_sharded(0, "fig15", kwargs, jobs=2)
 
 
-class TestCheckpointRoundTrip:
-    def test_shard_digests_survive_checkpoint(self, tmp_path):
-        from repro.harness.checkpoint import CheckpointStore
-
-        run = FigureRun(index=0, exp_id="fig15", kwargs={"scale": 0.01},
-                        rendered="## table", elapsed=1.0,
-                        shard_digests=["aa" * 32, "bb" * 32])
-        store = CheckpointStore.open(tmp_path, [(0, "fig15", {"scale": 0.01})])
-        store.save(run)
-        loaded = store.load_completed()[0]
-        assert loaded.shard_digests == run.shard_digests
-        assert loaded.digest == run.digest
-
-    def test_legacy_payload_defaults_to_empty(self):
-        from repro.harness.checkpoint import (
-            figure_run_from_payload,
-            figure_run_to_payload,
-        )
-
-        payload = figure_run_to_payload(FigureRun(
-            index=1, exp_id="fig16", kwargs={}, rendered="x", elapsed=0.1))
-        payload.pop("shard_digests")  # a pre-sharding checkpoint file
-        assert figure_run_from_payload(payload).shard_digests == []
+class TestWarmShardDigests:
+    def test_warm_sharded_run_recomputes_shard_digests(self, tmp_path,
+                                                       monkeypatch):
+        """Shard digests are not persisted anywhere: a sharded run served
+        entirely from the sim cache rebuilds them from the cached cells."""
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
+        monkeypatch.delenv("REPRO_HWFAULTS", raising=False)
+        kwargs = dict(scale=SCALE, seed=1, queue_entries=(64, 2048))
+        cold = run_entry_sharded(0, "fig19", kwargs, jobs=2)
+        warm = run_entry_sharded(0, "fig19", kwargs, jobs=2)
+        assert (cold.cache_hits, cold.cache_misses) == (0, 2)
+        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
+        assert len(warm.shard_digests) == 2
+        assert warm.shard_digests == cold.shard_digests
+        assert warm.digest == cold.digest
 
 
 class TestSuiteIntegration:

@@ -5,13 +5,21 @@ re-simulating and renders byte-identical tables; anything that could
 change an output (kwargs, engine, code) changes the cell key; anything
 broken on disk (corruption, IO trouble) degrades to re-simulation, never
 to a wrong or failed run; an armed hardware-fault plane bypasses the
-cache entirely.
+cache entirely. Cells are the only persisted results, so resuming a run
+means rerunning it against the same cache.
 """
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness import simcache
+from repro.harness.diskcache import unwrap_payload, wrap_payload
 from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult
+from repro.harness.parallel import digests, run_suite
 from repro.harness.sharding import SHARDABLE, ShardSpec, _concat_merge
 from repro.harness.simcache import (
     CELL_SUFFIX,
@@ -96,6 +104,76 @@ class TestLifecycle:
         assert cold.render() == warm.render() == direct.render()
 
 
+_scalars = st.one_of(
+    st.integers(min_value=-2**40, max_value=2**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=24),  # arbitrary unicode
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def _results(draw):
+    width = draw(st.integers(min_value=0, max_value=4))
+    return ExperimentResult(
+        exp_id=draw(st.text(min_size=1, max_size=16)),
+        title=draw(st.text(max_size=40)),
+        paper_claim=draw(st.text(max_size=40)),
+        headers=draw(st.lists(st.text(max_size=12), min_size=width,
+                              max_size=width)),
+        # up to five rows of ``width`` cells, zero rows included
+        rows=draw(st.lists(st.lists(_scalars, min_size=width,
+                                    max_size=width), max_size=5)),
+        notes=draw(st.text(max_size=60)),
+    )
+
+
+def _nan_eq(a, b) -> bool:
+    """Structural equality where NaN == NaN (JSON round-trips Python's
+    NaN/Infinity dialect; plain ``==`` would reject it)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (math.isnan(a) and math.isnan(b)) or a == b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and \
+            all(_nan_eq(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and \
+            all(_nan_eq(x, y) for x, y in zip(a, b))
+    # bool is an int subclass; keep True != 1 so types round-trip honestly.
+    if isinstance(a, bool) != isinstance(b, bool):
+        return False
+    return a == b
+
+
+def _round_trip(result):
+    text = wrap_payload(simcache._result_to_payload(result))
+    return simcache._result_from_payload(unwrap_payload(text))
+
+
+class TestCellRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(result=_results())
+    def test_payload_survives_the_envelope(self, result):
+        back = _round_trip(result)
+        assert _nan_eq(simcache._result_to_payload(back),
+                       simcache._result_to_payload(result))
+        assert back.render() == result.render()
+
+    def test_unicode_specials_and_empty_rows_survive(self):
+        result = ExperimentResult(
+            exp_id="fig∞", title="héap ↦ 0xDEAD", paper_claim="λ",
+            headers=["a", "b"],
+            rows=[[float("nan"), float("inf")], [-float("inf"), "∅"]])
+        back = _round_trip(result)
+        assert math.isnan(back.rows[0][0])
+        assert back.rows[0][1] == math.inf and back.rows[1][0] == -math.inf
+        assert back.render() == result.render()
+        empty = ExperimentResult(exp_id="e", title="", paper_claim="",
+                                 headers=["x"], rows=[])
+        assert _round_trip(empty).rows == []
+
+
 class TestKeying:
     def test_tuple_and_list_spellings_share_a_cell(self):
         assert (cell_key("figfake", {"benchmarks": ("alpha",)})
@@ -108,11 +186,36 @@ class TestKeying:
         assert cell_key("figfake", {}) != before
 
 
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _flip_payload_byte(text):
+    doc = json.loads(text)
+    doc["payload_json"] = doc["payload_json"].replace('"fake"', '"fakf"')
+    return json.dumps(doc)
+
+
+def _foreign_schema(text):
+    doc = json.loads(text)
+    doc["schema"] = 999
+    return json.dumps(doc)
+
+
 class TestRobustness:
-    def test_corrupt_cell_is_resimulated_and_overwritten(self, cache_env):
+    @pytest.mark.parametrize("corrupt", [
+        _truncate,
+        _flip_payload_byte,  # sha256 mismatch
+        _foreign_schema,
+        lambda text: "{ not an envelope",
+    ], ids=["truncated", "sha256-mismatch", "foreign-schema", "no-envelope"])
+    def test_corrupt_cell_is_resimulated_and_overwritten(self, cache_env,
+                                                         corrupt):
         cold, _ = run_experiment("figfake", {})
         victim = _cells(cache_env)[0]
-        victim.write_text("{ not a checkpoint envelope")
+        text = victim.read_text()
+        victim.write_text(corrupt(text))
+        assert victim.read_text() != text
         again, acct = run_experiment("figfake", {})
         assert acct.as_tuple() == (2, 1)
         assert again.render() == cold.render()
@@ -142,3 +245,58 @@ class TestRobustness:
         monkeypatch.setenv("REPRO_SIM_CACHE_MAX_MB", "0.0000001")
         run_experiment("figfake", {"scale": 2.0})
         assert len(_cells(cache_env)) < 3
+
+
+class TestResume:
+    """Resuming a run is rerunning it against the same cache."""
+
+    ONLY = ["fig22", "abl_barriers"]  # static models: one cell each
+
+    @pytest.fixture
+    def clean(self, monkeypatch):
+        for var in ("REPRO_SIM_CACHE", "REPRO_HWFAULTS", "REPRO_FAULTS"):
+            monkeypatch.delenv(var, raising=False)
+        return run_suite(jobs=1, only=self.ONLY)
+
+    def test_rerun_simulates_only_the_missing_cells(self, clean, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
+        run_suite(jobs=1, only=["abl_barriers"])  # a half-finished run
+        resumed = {r.exp_id: r for r in run_suite(jobs=1, only=self.ONLY)}
+        assert (resumed["abl_barriers"].cache_hits,
+                resumed["abl_barriers"].cache_misses) == (1, 0)
+        assert (resumed["fig22"].cache_hits,
+                resumed["fig22"].cache_misses) == (0, 1)
+        assert digests(resumed.values()) == digests(clean)
+
+    def test_completed_run_reruns_without_simulating(self, clean, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
+        run_suite(jobs=1, only=self.ONLY)
+        for exp_id in self.ONLY:
+            monkeypatch.setitem(
+                ALL_EXPERIMENTS, exp_id,
+                lambda **kw: pytest.fail("nothing should re-simulate"))
+        again = run_suite(jobs=1, only=self.ONLY)
+        assert [r.cache_misses for r in again] == [0, 0]
+        assert digests(again) == digests(clean)
+
+    def test_rerun_after_a_code_change_recomputes(self, clean, tmp_path,
+                                                  monkeypatch):
+        """The stale-resume defect: a rerun after a source edit must not
+        splice in results the older code produced."""
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
+        monkeypatch.setattr(simcache, "_CODE_FINGERPRINT", "a" * 64)
+        run_suite(jobs=1, only=["fig22"])
+        real = ALL_EXPERIMENTS["fig22"]
+
+        def edited(**kwargs):
+            result = real(**kwargs)
+            result.rows = result.rows[:-1]
+            return result
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "fig22", edited)
+        monkeypatch.setattr(simcache, "_CODE_FINGERPRINT", "b" * 64)
+        (rerun,) = run_suite(jobs=1, only=["fig22"])
+        assert (rerun.cache_hits, rerun.cache_misses) == (0, 1)
+        assert rerun.digest != digests(clean)["fig22"]
