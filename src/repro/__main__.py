@@ -12,7 +12,8 @@ Commands:
                                 — regenerate the full figure set, fanning
                                   experiments across a persistent worker
                                   pool with per-task timeouts, bounded
-                                  retries, intra-figure sharding, and the
+                                  retries, per-axis-value cells
+                                  (``--shard-figures``), and the
                                   ``REPRO_SIM_CACHE`` content-addressed
                                   result cache (rerunning against the
                                   same cache resumes an interrupted run).
@@ -368,6 +369,8 @@ def _cmd_fleet(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.harness.sharding import SHARDABLE
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction of 'A Hardware Accelerator for Tracing "
@@ -402,9 +405,10 @@ def main(argv=None) -> int:
                             help="retry a crashed/failed/hung figure up to "
                             "N times (exponential backoff)")
     all_parser.add_argument("--shard-figures", action="store_true",
-                            help="also split shardable-axis figures "
-                            "(fig01a, fig15-fig21) across the --jobs "
-                            "workers; digests are unchanged")
+                            help="also split shardable-axis figures ("
+                            + ", ".join(SHARDABLE) + ") into one task "
+                            "per axis value on the --jobs workers; "
+                            "digests are unchanged")
     all_parser.add_argument("--keep-going", action="store_true",
                             help="on exhausted retries, annotate the "
                             "report and continue instead of aborting "

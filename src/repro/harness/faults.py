@@ -16,10 +16,13 @@ The spec is a comma-separated list of ``kind:exp_id[:attempt]`` triples:
   ``os._exit(139)``, simulating a segfault/OOM kill), ``hang`` (the worker
   sleeps past any reasonable per-task timeout), or ``raise`` (the worker
   raises :class:`FaultInjected`, a plain in-band Python error).
-* ``exp_id`` — the suite entry to fault (e.g. ``fig16``).
+* ``exp_id`` — the suite entry to fault (e.g. ``fig16``); ``run_suite``
+  rejects an id that is not one, so a typo'd drill cannot pass silently.
 * ``attempt`` — which attempt to fault, 1-based; ``*`` faults every
   attempt (exhausting retries deterministically). Omitted means ``1``:
-  fault the first attempt only, so a retry succeeds.
+  fault the first attempt only, so a retry succeeds. Attempts count per
+  *cell*: each per-value cell of a sharded entry (``--shard-figures``)
+  is faulted on its own attempts, in the pool worker running it.
 
 Injection is purely a function of ``(spec, exp_id, attempt)`` — no
 randomness, no clocks — which keeps crash tests reproducible.
@@ -30,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -70,7 +73,7 @@ class Fault:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A parsed spec, matched per ``(exp_id, attempt)`` by the runner.
+    """A parsed spec, matched per ``(exp_id, cell attempt)`` by the runner.
 
     The runner resolves the matching fault in the *parent* process and
     ships it to the worker alongside the task, so the plan behaves
@@ -85,6 +88,14 @@ class FaultPlan:
             if fault.matches(exp_id, attempt):
                 return fault
         return None
+
+    def check_ids(self, valid_ids: Sequence[str]) -> None:
+        """Reject a fault naming an experiment id outside ``valid_ids``."""
+        for fault in self.faults:
+            if fault.exp_id not in valid_ids:
+                raise FaultSpecError(
+                    f"fault {fault.spec()!r} names unknown experiment id "
+                    f"{fault.exp_id!r}; valid ids: {', '.join(valid_ids)}")
 
     def inject(self, exp_id: str, attempt: int) -> None:
         """Execute the matching fault, if any, in the current process."""

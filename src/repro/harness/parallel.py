@@ -6,35 +6,37 @@
 * **jobs=1** runs inline — no pool, no pickling, and the in-process heap
   cache is shared across figures (fig15/fig23 and the avrora ablations
   reuse each other's builds).
-* **jobs>1** fans entries out over a pool of ``jobs`` persistent worker
-  processes (``fork`` start method where available, ``spawn``
-  otherwise). Each worker loops over tasks from a duplex pipe, one task
-  in flight at a time, amortizing interpreter + import startup (and its
-  in-process heap cache) across the tasks it runs. Completion order is
-  arbitrary but the merge sorts by suite index, so the output document
-  and the per-figure digests are independent of scheduling. Set
-  ``REPRO_HEAP_CACHE`` to share heap builds across workers via the disk
-  cache.
+* **jobs>1** fans *cells* out over ``jobs`` persistent worker processes
+  (``fork`` where available, ``spawn`` otherwise), the only workers the
+  harness starts. A cell is a whole entry or, with ``shard_figures``,
+  one axis value of a :data:`~repro.harness.sharding.SHARDABLE` entry
+  — the sim cache's cell. Each worker loops over cells from a duplex
+  pipe, one in flight at a time, amortizing startup (and its in-process
+  heap cache) across them; an entry's cells are refolded with its
+  ``ShardSpec`` merge when the last one lands. Results are ordered by
+  suite index and axis value, so the document and the digests are
+  independent of scheduling. ``REPRO_HEAP_CACHE`` shares heap builds
+  across workers.
 
 Fault tolerance (all opt-in; a fault-free run is byte-identical to the
-pre-retry pipeline):
+pre-retry pipeline), applied to each cell on its own:
 
 * **per-task timeout** (``timeout=``) — a worker that exceeds it is
-  killed and the entry is rescheduled;
+  killed and the cell is rescheduled;
 * **bounded retries** (``retries=N``) with deterministic exponential
   backoff (``backoff * 2**(attempt-1)`` seconds, no jitter);
 * **crash recovery** — a worker that exits abnormally (segfault, OOM
   kill, ``os._exit``) is detected by pipe EOF, the attempt is attributed
-  to the one task that worker was running and described by its exit
-  code, and a replacement worker is spawned; other in-flight entries are
+  to the one cell that worker was running and described by its exit
+  code, and a replacement worker is spawned; other in-flight cells are
   unaffected (each worker has its own pipe — a shared executor would
   raise ``BrokenProcessPool`` for every sibling);
-* **graceful degradation** (``keep_going=True``) — an entry that
-  exhausts its retries is recorded as a failed :class:`FigureRun`
-  (status, attempts, last error, per-attempt history) and the run keeps
-  going; ``render_report`` annotates the failure instead of aborting.
-  Without ``keep_going`` the first exhausted entry raises
-  :class:`SuiteRunError` carrying the partial results;
+* **graceful degradation** (``keep_going=True``) — a cell that exhausts
+  its retries fails its entry (its undispatched cells are dropped),
+  recorded as a failed :class:`FigureRun` (status, attempts, last error,
+  per-attempt history); the run keeps going and ``render_report``
+  annotates the failure. Without ``keep_going`` the first exhausted
+  entry raises :class:`SuiteRunError` carrying the partial results;
 * **resume** — there is no run directory of its own. With
   ``REPRO_SIM_CACHE`` set, every cell is persisted by
   :mod:`repro.harness.simcache` as it completes, so an interrupted run
@@ -44,9 +46,9 @@ pre-retry pipeline):
 
 Fault *injection* for exercising these paths lives in
 :mod:`repro.harness.faults` (``REPRO_FAULTS`` env spec). The parent
-resolves each attempt's fault and ships it with the task; the pooled
-worker executes it before running the entry, so a ``crash`` lands on
-the crash path, a ``hang`` on deadline reaping and a ``raise`` on the
+resolves each cell attempt's fault and ships it with the task; the
+pooled worker executes it before running the cell, so a ``crash`` lands
+on the crash path, a ``hang`` on deadline reaping and a ``raise`` on the
 in-band error path. With ``jobs=1`` the faults execute in the
 orchestrating process itself — a ``crash`` fault will genuinely
 ``os._exit`` it — so crash/hang testing wants ``jobs>=2``.
@@ -59,15 +61,16 @@ runs.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import multiprocessing.connection
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness import faults
+from repro.harness import faults, simcache
 from repro.harness.runners import attempt_stats
 from repro.harness.suite import FigureRun, render_report, run_entry, select
 
@@ -94,17 +97,35 @@ class SuiteRunError(RuntimeError):
             f"{failed.error}")
 
 
-@dataclass
-class _TaskState:
-    """Scheduling state for one suite entry across its attempts."""
+@dataclass(eq=False)
+class _Entry:
+    """One suite entry and the cells it runs as."""
 
     index: int
     exp_id: str
     kwargs: Dict[str, Any]
+    #: its ``ShardSpec`` when it runs as per-value cells; ``None`` runs it
+    #: whole.
+    spec: Any = None
+    cells: List["_TaskState"] = field(default_factory=list)
+    #: monotonic time its first cell was dispatched to a worker.
+    started: Optional[float] = None
+
+
+@dataclass(eq=False)
+class _TaskState:
+    """Scheduling state for one cell across its attempts."""
+
+    entry: _Entry
+    kwargs: Dict[str, Any]
+    #: the cell's axis value (sharded entries only).
+    value: Any = None
     attempts: int = 0
     history: List[Dict[str, Any]] = field(default_factory=list)
-    #: monotonic time before which this task must not be (re)launched.
+    #: monotonic time before which this cell must not be (re)launched.
     not_before: float = 0.0
+    #: ``(result, (hits, misses))`` once a sharded cell has landed.
+    output: Any = None
 
 
 def _pool_context():
@@ -135,8 +156,11 @@ def _pool_worker_main(conn) -> None:
     Referenced as a module global (not a closure) so it pickles under
     ``spawn`` and inherits monkeypatched ``run_entry`` under ``fork``.
     ``None`` is the stop sentinel; a task is ``(index, exp_id, kwargs,
-    fault, hang_seconds)``, the fault resolved by the parent for this
-    attempt (``None`` when none matches).
+    whole, fault, hang_seconds)``, the fault resolved by the parent for
+    this attempt (``None`` when none matches). A whole entry replies with
+    its :class:`FigureRun`; a sharded cell with ``(result, (hits,
+    misses))`` for the parent's merge, ``extras`` stripped (they can
+    hold unpicklable simulation objects and feed no table or digest).
     """
     try:
         while True:
@@ -146,11 +170,17 @@ def _pool_worker_main(conn) -> None:
                 break
             if task is None:
                 break
-            index, exp_id, kwargs, fault, hang_seconds = task
+            index, exp_id, kwargs, whole, fault, hang_seconds = task
             before = attempt_stats()
             try:
                 faults.execute(fault, hang_seconds)
-                run = run_entry(index, exp_id, kwargs)
+                if whole:
+                    out = run_entry(index, exp_id, kwargs)
+                else:
+                    result, accounting = simcache.run_experiment(
+                        exp_id, kwargs)
+                    result.extras = {}
+                    out = (result, accounting.as_tuple())
             except BaseException as exc:
                 try:
                     conn.send(("error", f"{type(exc).__name__}: {exc}",
@@ -159,7 +189,7 @@ def _pool_worker_main(conn) -> None:
                     break
             else:
                 try:
-                    conn.send(("ok", run,
+                    conn.send(("ok", out,
                                _stats_delta(before, attempt_stats())))
                 except Exception:
                     break
@@ -190,7 +220,9 @@ def _kill(proc) -> None:
 
 
 class _Scheduler:
-    """Shared bookkeeping for the inline and pooled execution paths."""
+    """Per-cell attempt accounting, per-entry completion (inline and
+    pooled): an entry completes when its last cell lands and fails when
+    any one cell exhausts its retries."""
 
     def __init__(self, *, retries: int, backoff: float, keep_going: bool,
                  say: Callable[[str], None]):
@@ -205,49 +237,92 @@ class _Scheduler:
     def max_attempts(self) -> int:
         return self.retries + 1
 
-    def finish_ok(self, state: _TaskState, run: FigureRun,
-                  wall: float, stats: Dict[str, float]) -> None:
+    def _record(self, state: _TaskState, record: Dict[str, Any]) -> None:
         state.attempts += 1
-        state.history.append({"attempt": state.attempts, "status": "ok",
-                              "elapsed": round(wall, 3), **stats})
-        run.attempts = state.attempts
-        run.attempt_history = list(state.history)
-        self.completed[state.index] = run
-        note = (f" (attempt {state.attempts}/{self.max_attempts})"
-                if state.attempts > 1 else "")
+        record = {"attempt": state.attempts, **record}
+        if state.entry.spec is not None:
+            record["cell"] = state.value
+        state.history.append(record)
+
+    def finish_ok(self, state: _TaskState, out: Any,
+                  wall: float, stats: Dict[str, float]) -> None:
+        self._record(state, {"status": "ok", "elapsed": round(wall, 3),
+                             **stats})
+        entry = state.entry
+        if entry.index in self.completed:  # a sibling failed the entry
+            return
+        if entry.spec is None:
+            run = out
+            run.attempts = state.attempts
+            run.attempt_history = list(state.history)
+        else:
+            state.output = out
+            if any(cell.output is None for cell in entry.cells):
+                return
+            run = _merge_cells(entry)
+        self.completed[entry.index] = run
+        note = (f" (attempt {run.attempts}/{self.max_attempts})"
+                if run.attempts > 1 else "")
         self.say(f"  {run.exp_id} done in {run.elapsed:.0f}s{note}")
 
     def record_failure(self, state: _TaskState, status: str, error: str,
                        wall: float) -> Optional[float]:
         """Account one failed attempt.
 
-        Returns the backoff delay if the task should be retried, or
-        ``None`` once retries are exhausted (after recording the failed
-        entry — and raising :class:`SuiteRunError` unless ``keep_going``).
+        Returns the backoff delay if the cell should be retried, or
+        ``None`` once it will not be: its retries are exhausted (after
+        recording the failed entry — and raising :class:`SuiteRunError`
+        unless ``keep_going``), or a sibling cell already failed the entry.
         """
-        state.attempts += 1
-        state.history.append({"attempt": state.attempts, "status": status,
-                              "elapsed": round(wall, 3), "error": error})
+        self._record(state, {"status": status, "elapsed": round(wall, 3),
+                             "error": error})
+        entry = state.entry
+        if entry.index in self.completed:
+            return None
+        label = entry.exp_id if entry.spec is None else (
+            f"{entry.exp_id}[{entry.spec.axis}={state.value!r}]")
         if state.attempts < self.max_attempts:
             delay = self.backoff * (2 ** (state.attempts - 1))
             state.not_before = time.monotonic() + delay
-            self.say(f"  {state.exp_id} {status} (attempt {state.attempts}/"
+            self.say(f"  {label} {status} (attempt {state.attempts}/"
                      f"{self.max_attempts}): {error}; retrying in "
                      f"{delay:.1f}s")
             return delay
+        if entry.spec is not None:
+            error = f"{label}: {error}"
+        history = [rec for cell in entry.cells for rec in cell.history]
         run = FigureRun(
-            index=state.index, exp_id=state.exp_id,
-            kwargs=dict(state.kwargs), rendered="",
-            elapsed=sum(rec.get("elapsed", 0.0) for rec in state.history),
+            index=entry.index, exp_id=entry.exp_id,
+            kwargs=dict(entry.kwargs), rendered="",
+            elapsed=sum(rec.get("elapsed", 0.0) for rec in history),
             status="failed", attempts=state.attempts, error=error,
-            attempt_history=list(state.history),
+            attempt_history=history,
         )
-        self.completed[state.index] = run
-        self.say(f"  {state.exp_id} FAILED after {state.attempts} "
+        self.completed[entry.index] = run
+        self.say(f"  {entry.exp_id} FAILED after {state.attempts} "
                  f"attempt(s): {error}")
         if not self.keep_going:
             raise SuiteRunError(run, _ordered(self.completed))
         return None
+
+
+def _merge_cells(entry: _Entry) -> FigureRun:
+    """Refold a sharded entry's cells into its :class:`FigureRun`: elapsed
+    from first dispatch to last completion, the most attempts any cell
+    needed, and every cell's attempt records (tagged ``"cell"``)."""
+    results = [cell.output[0] for cell in entry.cells]
+    return FigureRun(
+        index=entry.index, exp_id=entry.exp_id, kwargs=dict(entry.kwargs),
+        rendered=entry.spec.merge(results).render(),
+        elapsed=time.monotonic() - entry.started,
+        attempts=max(cell.attempts for cell in entry.cells),
+        attempt_history=[rec for cell in entry.cells
+                         for rec in cell.history],
+        shard_digests=[hashlib.sha256(result.render().encode()).hexdigest()
+                       for result in results],
+        cache_hits=sum(cell.output[1][0] for cell in entry.cells),
+        cache_misses=sum(cell.output[1][1] for cell in entry.cells),
+    )
 
 
 def _ordered(completed: Dict[int, FigureRun]) -> List[FigureRun]:
@@ -255,28 +330,25 @@ def _ordered(completed: Dict[int, FigureRun]) -> List[FigureRun]:
 
 
 def _run_inline(states: List[_TaskState], sched: _Scheduler,
-                plan: Optional[faults.FaultPlan],
-                say: Callable[[str], None],
-                runner: Optional[Callable[..., FigureRun]] = None) -> None:
+                plan: Optional[faults.FaultPlan]) -> None:
     """jobs=1: execute in-process (shared heap cache, no pickling).
 
-    Timeouts are not enforceable without a worker process; ``crash`` and
-    ``hang`` faults execute literally in this process. ``runner``
-    overrides ``run_entry`` for the intra-figure sharded path (which fans
-    its own workers out from this process).
+    Every cell is a whole entry. Timeouts are not enforceable without a
+    worker process; ``crash`` and ``hang`` faults execute literally in
+    this process.
     """
     for state in states:
+        entry = state.entry
         while True:
-            say(f"running {state.exp_id} {state.kwargs} ...")
-            fault = (plan.match(state.exp_id, state.attempts + 1)
+            sched.say(f"running {entry.exp_id} {entry.kwargs} ...")
+            fault = (plan.match(entry.exp_id, state.attempts + 1)
                      if plan is not None else None)
             t0 = time.monotonic()
             before = attempt_stats()
             try:
                 if plan is not None:
                     faults.execute(fault, plan.hang_seconds)
-                execute = runner if runner is not None else run_entry
-                run = execute(state.index, state.exp_id, state.kwargs)
+                run = run_entry(entry.index, entry.exp_id, entry.kwargs)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
@@ -307,23 +379,22 @@ class _PoolWorker:
 
 def _run_persistent_pool(states: List[_TaskState], jobs: int,
                          sched: _Scheduler, plan: Optional[faults.FaultPlan],
-                         timeout: Optional[float],
-                         say: Callable[[str], None]) -> None:
+                         timeout: Optional[float]) -> None:
     """jobs>1: long-lived workers over duplex pipes.
 
-    Dispatch keeps one task in flight per worker, so a death (pipe EOF)
-    or a blown deadline still attributes to exactly one entry; the dead
-    worker is replaced and the entry goes through the normal retry
-    accounting. Workers are told to stop (``None`` sentinel) as the queue
-    drains.
+    Dispatch keeps one cell in flight per worker, so a death (pipe EOF)
+    or a blown deadline still attributes to exactly one cell; the dead
+    worker is replaced and the cell goes through the normal retry
+    accounting (a failed entry's pending cells are dropped). Workers are
+    told to stop (``None`` sentinel) as the queue drains.
     """
     ctx = _pool_context()
     hang_seconds = (plan.hang_seconds if plan is not None
                     else faults.DEFAULT_HANG_SECONDS)
     pending = deque(states)
     workers: List[_PoolWorker] = []
-    say(f"running {len(states)} experiments on {jobs} persistent "
-        "workers ...")
+    sched.say(f"running {len(states)} cells on {jobs} persistent "
+              "workers ...")
 
     def spawn() -> _PoolWorker:
         parent_conn, child_conn = ctx.Pipe()
@@ -348,6 +419,15 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 _kill(worker.proc)
         worker.conn.close()
 
+    def fail(state: _TaskState, status: str, error: str,
+             wall: float) -> None:
+        """Requeue a failed cell, or drop its entry's pending cells."""
+        if sched.record_failure(state, status, error, wall) is not None:
+            pending.append(state)
+        else:
+            for sibling in [s for s in pending if s.entry is state.entry]:
+                pending.remove(sibling)
+
     try:
         while pending or any(w.state is not None for w in workers):
             now = time.monotonic()
@@ -356,7 +436,7 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
             while len(workers) < min(jobs, busy + len(pending)):
                 spawn()
 
-            # Dispatch every ready task there is an idle worker for.
+            # Dispatch every ready cell there is an idle worker for.
             for worker in workers:
                 if worker.state is not None or not pending:
                     continue
@@ -367,11 +447,13 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 pending.rotate(-ready)
                 state = pending.popleft()
                 pending.rotate(ready)
-                fault = (plan.match(state.exp_id, state.attempts + 1)
+                entry = state.entry
+                fault = (plan.match(entry.exp_id, state.attempts + 1)
                          if plan is not None else None)
                 try:
-                    worker.conn.send((state.index, state.exp_id,
-                                      state.kwargs, fault, hang_seconds))
+                    worker.conn.send((entry.index, entry.exp_id,
+                                      state.kwargs, entry.spec is None,
+                                      fault, hang_seconds))
                 except (OSError, ValueError):
                     # Died while idle: requeue, reap below via pipe EOF.
                     pending.appendleft(state)
@@ -380,6 +462,8 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 worker.started = time.monotonic()
                 worker.deadline = (worker.started + timeout
                                    if timeout else None)
+                if entry.started is None:
+                    entry.started = worker.started
 
             if not any(w.state is not None for w in workers):
                 if pending:
@@ -416,9 +500,7 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                     detail = _describe_exit(worker.proc.exitcode)
                     discard(worker, kill=True)
                     if state is not None:
-                        if sched.record_failure(state, "crash", detail,
-                                                wall) is not None:
-                            pending.append(state)
+                        fail(state, "crash", detail, wall)
                     continue
                 state = worker.state
                 worker.state = None
@@ -427,9 +509,7 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 if msg[0] == "ok":
                     sched.finish_ok(state, msg[1], wall, msg[2])
                 else:
-                    if sched.record_failure(state, "error", msg[1],
-                                            wall) is not None:
-                        pending.append(state)
+                    fail(state, "error", msg[1], wall)
 
             # Reap workers that blew their deadline; their replacement is
             # spawned by the top-up at the head of the loop.
@@ -440,11 +520,8 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                     continue
                 state = worker.state
                 discard(worker, kill=True)
-                if sched.record_failure(
-                        state, "timeout",
-                        f"timed out after {timeout:.0f}s",
-                        now - worker.started) is not None:
-                    pending.append(state)
+                fail(state, "timeout", f"timed out after {timeout:.0f}s",
+                     now - worker.started)
 
             # Retire surplus idle workers once the queue has drained past
             # them (graceful stop, not a kill).
@@ -457,6 +534,41 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
         # Abort, KeyboardInterrupt, or normal exit: never leak workers.
         for worker in list(workers):
             discard(worker, kill=worker.state is not None)
+
+
+def _run_entries(entries: Sequence[Tuple[int, str, Dict[str, Any]]],
+                 jobs: int, sched: _Scheduler,
+                 plan: Optional[faults.FaultPlan] = None,
+                 timeout: Optional[float] = None,
+                 shard_figures: bool = False) -> List[FigureRun]:
+    """Run ``(index, exp_id, kwargs)`` entries as cells; results by index.
+
+    With ``shard_figures`` and ``jobs > 1``, an entry registered in
+    ``SHARDABLE`` with two or more axis values expands into one cell per
+    value; every other entry is one cell. A lone cell runs inline.
+    """
+    from repro.harness.sharding import SHARDABLE, axis_values
+
+    states: List[_TaskState] = []
+    for index, exp_id, kwargs in entries:
+        entry = _Entry(index=index, exp_id=exp_id, kwargs=kwargs)
+        values = (axis_values(exp_id, kwargs)
+                  if shard_figures and jobs > 1 else None)
+        if values is not None and len(values) >= 2:
+            entry.spec = SHARDABLE[exp_id]
+            entry.cells = [
+                _TaskState(entry, {**kwargs, entry.spec.axis: [value]},
+                           value)
+                for value in values]
+        else:
+            entry.cells = [_TaskState(entry, kwargs)]
+        states.extend(entry.cells)
+    jobs = max(1, min(jobs, len(states)))
+    if jobs == 1:
+        _run_inline(states, sched, plan)
+    else:
+        _run_persistent_pool(states, jobs, sched, plan, timeout)
+    return _ordered(sched.completed)
 
 
 def run_suite(
@@ -473,45 +585,28 @@ def run_suite(
 ) -> List[FigureRun]:
     """Run the figure suite with ``jobs`` workers; results in suite order.
 
-    ``fault_plan`` defaults to the ``REPRO_FAULTS`` environment spec.
+    ``fault_plan`` defaults to the ``REPRO_FAULTS`` environment spec; a
+    fault naming an id that is not a suite entry raises ``ValueError``.
     Entries that exhaust ``retries`` raise :class:`SuiteRunError`, or —
     with ``keep_going`` — come back as ``FigureRun(status="failed")``
     records that :func:`render_report` annotates.
 
     ``shard_figures`` (with ``jobs > 1``) additionally splits figures
-    with a shardable axis (see :mod:`repro.harness.sharding`) across the
-    ``jobs`` workers — those entries run first, each using the whole
-    worker pool, then the remaining entries fan out one-per-worker.
-    Digests are unchanged across all of it.
+    with a shardable axis (see :mod:`repro.harness.sharding`) into one
+    cell per axis value, scheduled on the same worker pool as every
+    other entry. Digests are unchanged across all of it.
     """
-    states = [_TaskState(index=i, exp_id=exp_id, kwargs=kwargs)
-              for i, (exp_id, kwargs) in enumerate(select(only))]
-    say = progress if progress is not None else (lambda msg: None)
+    entries = [(i, exp_id, kwargs)
+               for i, (exp_id, kwargs) in enumerate(select(only))]
     if fault_plan is None:
         fault_plan = faults.plan_from_env()
-
-    sched = _Scheduler(retries=retries, backoff=backoff,
-                       keep_going=keep_going, say=say)
-    if shard_figures and jobs > 1:
-        from repro.harness.sharding import can_shard, run_entry_sharded
-
-        sharded = [s for s in states if can_shard(s.exp_id, s.kwargs, jobs)]
-        if sharded:
-            say(f"sharding {len(sharded)} figure(s) across {jobs} workers "
-                "each ...")
-            _run_inline(
-                sharded, sched, fault_plan, say,
-                runner=lambda i, e, k: run_entry_sharded(i, e, k, jobs))
-            remaining = {id(s) for s in sharded}
-            states = [s for s in states if id(s) not in remaining]
-    if states:
-        jobs = max(1, min(jobs, len(states)))
-        if jobs == 1:
-            _run_inline(states, sched, fault_plan, say)
-        else:
-            _run_persistent_pool(states, jobs, sched, fault_plan, timeout,
-                                 say)
-    return _ordered(sched.completed)
+    if fault_plan is not None:
+        fault_plan.check_ids([exp_id for exp_id, _ in select()])
+    sched = _Scheduler(
+        retries=retries, backoff=backoff, keep_going=keep_going,
+        say=progress if progress is not None else (lambda msg: None))
+    return _run_entries(entries, jobs, sched, fault_plan, timeout,
+                        shard_figures)
 
 
 def digests(runs: Sequence[FigureRun]) -> Dict[str, str]:

@@ -100,10 +100,11 @@ class FigureRun:
     #: per-attempt records ``{"attempt", "status", "elapsed", ...}`` kept
     #: out of ``digest`` so retried runs stay byte-identical to clean ones.
     attempt_history: List[Dict[str, Any]] = field(default_factory=list)
-    #: sha256 of each shard's partial table when the entry ran through
-    #: :func:`repro.harness.sharding.run_entry_sharded` (empty for inline
-    #: runs). Forensic only: excluded from ``digest`` so sharded and
-    #: unsharded runs of the same figure fingerprint identically.
+    #: sha256 of each cell's partial table, in axis order, when the
+    #: entry ran as per-value cells (``shard_figures``; empty for an
+    #: entry run whole). Forensic only: excluded from ``digest`` so
+    #: sharded and unsharded runs of the same figure fingerprint
+    #: identically.
     shard_digests: List[str] = field(default_factory=list)
     #: simulation-result-cache accounting for this entry (zero when
     #: ``REPRO_SIM_CACHE`` is unset). Forensic only, like

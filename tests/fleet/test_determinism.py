@@ -10,7 +10,7 @@ import pytest
 
 from repro.fleet.timeline import reset_base_cache
 from repro.harness import heapcache
-from repro.harness.sharding import axis_values, can_shard, run_entry_sharded
+from repro.harness.sharding import axis_values, run_entry_sharded
 from repro.harness.suite import run_entry
 
 SLO_KWARGS = dict(scale=0.008, n_tenants=3, n_queries=600, warmup=60,
@@ -53,7 +53,7 @@ class TestShardedIdentity:
         sharded = run_entry_sharded(0, "fleet_slo", SLO_KWARGS, jobs=2)
         assert sharded.rendered == inline.rendered
         assert sharded.digest == inline.digest == SLO_DIGEST
-        assert len(sharded.shard_digests) == 2
+        assert len(sharded.shard_digests) == 3  # one per tenant cell
 
     @pytest.mark.slow
     def test_fleet_lbo_sharded_matches_inline(self):
@@ -72,15 +72,13 @@ class TestShardedIdentity:
                                     jobs=2)
         assert sharded.rendered == inline.rendered
         assert sharded.digest == inline.digest == RES_DIGEST
-        assert len(sharded.shard_digests) == 2
+        assert len(sharded.shard_digests) == 3  # one per roster cell
 
     def test_tenant_axis_tracks_n_tenants(self):
         assert axis_values("fleet_slo", SLO_KWARGS) == [0, 1, 2]
         assert axis_values("fleet_slo", {}) == [0, 1, 2, 3]
         assert axis_values("fleet_slo", {"tenants": (1,)}) == [1]
         assert axis_values("fleet_lbo", {}) == [2, 4]
-        assert can_shard("fleet_slo", SLO_KWARGS, 3)
-        assert not can_shard("fleet_slo", SLO_KWARGS, 4)
 
     def test_roster_axis_defaults_to_the_figure_family(self):
         from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS
@@ -89,7 +87,6 @@ class TestShardedIdentity:
             list(DEFAULT_RESILIENCE_ROSTERS)
         assert axis_values("fleet_resilience", RES_KWARGS) == \
             list(RES_KWARGS["rosters"])
-        assert can_shard("fleet_resilience", RES_KWARGS, 3)
 
 
 class TestSimCacheIdentity:

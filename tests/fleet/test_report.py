@@ -26,15 +26,13 @@ def tenant_row(tenant, policy, values, blank=False):
 class TestSummaryRefold:
     @settings(deadline=None, max_examples=50)
     @given(data=st.data())
-    def test_chunked_refold_matches_direct(self, data):
-        """The _fleet_slo_merge path: summaries recomputed from any
-        contiguous chunking of the tenant rows equal the direct ones."""
-        from repro.harness.sharding import split_axis
-
+    def test_per_tenant_refold_matches_direct(self, data):
+        """The _fleet_slo_merge path: summaries recomputed from the
+        tenant rows of per-tenant cells, concatenated in axis order,
+        equal the direct ones."""
         n_tenants = data.draw(st.integers(1, 6))
         policies = data.draw(st.permutations(
             ["dedicated", "shared", "software"]))
-        n_shards = data.draw(st.integers(1, 6))
         rows = []
         for tenant in range(n_tenants):
             blank = data.draw(st.booleans())
@@ -44,13 +42,19 @@ class TestSummaryRefold:
                     st.integers(0, 50), POS, POS, POS, POS, POS, POS, POS))
                 rows.append(tenant_row(tenant, policy, list(values),
                                        blank=blank))
-        direct = fleet_summary_rows(rows)
-        tenants = sorted({row[0] for row in rows})
-        merged_rows = []
-        for chunk in split_axis(tenants, n_shards):
-            merged_rows.extend(r for r in rows if r[0] in chunk)
-        assert merged_rows == rows  # contiguous chunks preserve order
-        assert fleet_summary_rows(merged_rows) == direct
+        from repro.harness.experiments import ExperimentResult
+        from repro.harness.sharding import _fleet_slo_merge
+
+        def result_for(tenant_rows):
+            # Every fleet_slo run appends its own policy summaries.
+            return ExperimentResult(
+                exp_id="fleet_slo", title="t", paper_claim="p",
+                headers=list(SLO_HEADERS),
+                rows=tenant_rows + fleet_summary_rows(tenant_rows))
+
+        cells = [result_for([r for r in rows if r[0] == tenant])
+                 for tenant in range(n_tenants)]
+        assert _fleet_slo_merge(cells).rows == result_for(rows).rows
 
     def test_all_blank_latency_stays_blank(self):
         rows = [tenant_row(0, "dedicated",

@@ -8,11 +8,13 @@ process (by design; see :mod:`repro.harness.parallel`).
 """
 
 import multiprocessing
+import os
 import time
 
 import pytest
 
-from repro.harness import parallel
+import repro.harness.suite as suite_mod
+from repro.harness import heapcache, parallel
 from repro.harness.faults import (
     Fault,
     FaultInjected,
@@ -25,6 +27,15 @@ from repro.harness.parallel import SuiteRunError, digests, run_suite
 
 ONLY = ["fig22", "abl_barriers"]  # static models: instant
 BACKOFF = 0.01
+
+#: A small shardable entry (two queue-size cells, ~1 s each) beside a
+#: static one, for drills on ``run_suite(shard_figures=True)``.
+SHARDED = [("fig19", dict(scale=0.005, seed=1, queue_entries=[128, 2048])),
+           ("fig22", {})]
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched worker needs the fork start method")
 
 
 @pytest.fixture(autouse=True)
@@ -143,6 +154,85 @@ class TestHangRecovery:
         assert multiprocessing.active_children() == []
 
 
+@pytest.fixture
+def sharded_suite(monkeypatch):
+    """SUITE narrowed to :data:`SHARDED`; yields its clean digests."""
+    monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+    monkeypatch.setattr(suite_mod, "SUITE", list(SHARDED))
+    heapcache.reset_cache()
+    yield digests(run_suite(jobs=1))
+    heapcache.reset_cache()
+
+
+class TestShardedCells:
+    """Sharded entries run as per-value cells on the pool, so faults,
+    timeouts and crashes are handled per cell like any other task."""
+
+    def test_crash_fault_is_retried_per_cell(self, sharded_suite):
+        lines = []
+        runs = run_suite(jobs=2, shard_figures=True, retries=2,
+                         backoff=BACKOFF, progress=lines.append,
+                         fault_plan=parse_spec("crash:fig19:1"))
+        assert digests(runs) == sharded_suite
+        fig19 = runs[0]
+        assert fig19.ok and fig19.attempts == 2
+        assert len(fig19.shard_digests) == 2
+        crashes = [rec for rec in fig19.attempt_history
+                   if rec["status"] == "crash"]
+        assert sorted(rec["cell"] for rec in crashes) == [128, 2048]
+        assert all("status 139" in rec["error"] for rec in crashes)
+        assert any("fig19[queue_entries=128] crash" in line
+                   and "retrying" in line for line in lines)
+
+    def test_hung_cell_is_reaped_at_the_deadline(self, sharded_suite):
+        plan = FaultPlan(faults=(Fault("hang", "fig19", 1),),
+                         hang_seconds=60.0)
+        t0 = time.monotonic()
+        runs = run_suite(jobs=2, shard_figures=True, retries=1,
+                         backoff=BACKOFF, timeout=3.0, fault_plan=plan)
+        assert time.monotonic() - t0 < 30.0  # killed, not slept out
+        assert digests(runs) == sharded_suite
+        history = runs[0].attempt_history
+        for cell in (128, 2048):
+            first = next(rec for rec in history if rec["cell"] == cell)
+            assert first["status"] == "timeout"
+            assert "timed out" in first["error"]
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_dead_cell_names_its_exit_status(self, sharded_suite,
+                                             monkeypatch):
+        import repro.harness.simcache as simcache
+
+        def dying(exp_id, kwargs, _real=simcache.run_experiment):
+            if kwargs.get("queue_entries") == [128]:
+                os._exit(42)  # die without reporting: pipe EOF
+            return _real(exp_id, kwargs)
+
+        monkeypatch.setattr(simcache, "run_experiment", dying)
+        with pytest.raises(SuiteRunError,
+                           match=r"fig19\[queue_entries=128\]: .*status 42"):
+            run_suite(jobs=2, shard_figures=True, retries=0)
+        assert multiprocessing.active_children() == []
+
+    def test_exhausted_cell_fails_its_entry_and_drops_siblings(
+            self, monkeypatch):
+        """The first cell to exhaust its retries fails fig19; cells not
+        yet dispatched never run, and the other entry still finishes."""
+        monkeypatch.setattr(suite_mod, "SUITE", [
+            ("fig19", dict(scale=0.005, seed=1,
+                           queue_entries=[128, 512, 2048, 16384])),
+            ("fig22", {})])
+        runs = run_suite(jobs=2, shard_figures=True, keep_going=True,
+                         fault_plan=parse_spec("crash:fig19:*"))
+        failed, fig22 = runs
+        assert failed.status == "failed" and fig22.ok
+        assert failed.error.startswith("fig19[queue_entries=")
+        assert "status 139" in failed.error
+        # Two workers: at most the first two cells were ever dispatched.
+        assert {rec["cell"] for rec in failed.attempt_history} <= {128, 512}
+
+
 class TestKeyboardInterrupt:
     def test_pool_torn_down_rerun_resumes_from_cache(self, tmp_path,
                                                      monkeypatch):
@@ -224,6 +314,15 @@ class TestCLIRecovery:
         assert main(args) == 0
         assert "sim cache: 1 hit(s), 1 simulated cell(s)" in \
             capsys.readouterr().out
+
+    def test_unknown_fault_id_exits_2(self, monkeypatch, capsys):
+        """A typo'd drill must not pass by injecting nothing."""
+        from repro.__main__ import main
+        monkeypatch.setenv("REPRO_FAULTS", "crash:nosuchfig:1")
+        assert main(["run-all", "--jobs", "2", "--only", "fig22"]) == 2
+        err = capsys.readouterr().err
+        assert "'nosuchfig'" in err
+        assert "valid ids: " in err and "fig22" in err
 
     def test_bad_fault_spec_exits_2(self, monkeypatch, capsys):
         from repro.__main__ import main

@@ -1,31 +1,28 @@
-"""Intra-figure sharding: split figures must reproduce unsharded digests.
+"""Intra-figure sharding: per-value cells must reproduce unsharded digests.
 
 The whole value of :mod:`repro.harness.sharding` rests on one invariant —
-a figure split across worker processes renders the byte-identical table
-(same digest) as the inline run — plus honest bookkeeping: per-shard
-digests land on the ``FigureRun`` (recomputed on every sharded run, warm
-sim cache included), and non-shardable entries silently fall back to the
-inline path.
+a figure run as per-value cells on the worker pool renders the
+byte-identical table (same digest) as the inline run — plus honest
+bookkeeping: one digest per cell lands on the ``FigureRun`` (recomputed
+on every sharded run, warm sim cache included), and entries with fewer
+than two axis values run as a single cell.
 """
 
-import multiprocessing
-import os
+import inspect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness import heapcache
-from repro.harness.experiments import ExperimentResult
+from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult
 from repro.harness.sharding import (
     SHARDABLE,
     _column_refold_merge,
     _concat_merge,
     _geomean_tail_merge,
     axis_values,
-    can_shard,
     run_entry_sharded,
-    split_axis,
 )
 from repro.harness.suite import run_entry
 from repro.workloads.profiles import BENCHMARK_ORDER
@@ -41,49 +38,37 @@ def _fresh_cache(monkeypatch):
     heapcache.reset_cache()
 
 
-class TestSplit:
-    def test_contiguous_and_exhaustive(self):
-        values = list("abcdefg")
-        for n in range(1, 9):
-            chunks = split_axis(values, n)
-            assert [v for chunk in chunks for v in chunk] == values
-            assert all(chunk for chunk in chunks)
-            assert len(chunks) == min(n, len(values))
+def _signature_default(exp_id):
+    axis = SHARDABLE[exp_id].axis
+    return inspect.signature(
+        ALL_EXPERIMENTS[exp_id]).parameters[axis].default
 
-    def test_earlier_chunks_take_the_remainder(self):
-        assert split_axis(["a", "b", "c"], 2) == [["a", "b"], ["c"]]
 
+class TestAxisValues:
     def test_axis_defaults_to_benchmark_order(self):
         assert axis_values("fig15", {}) == list(BENCHMARK_ORDER)
         assert axis_values("fig15", {"benchmarks": ["avrora"]}) == ["avrora"]
         assert axis_values("fig01b", {}) is None
 
-    def test_can_shard(self):
-        assert can_shard("fig15", {}, 2)
-        assert not can_shard("fig15", {}, 1)
-        assert not can_shard("fig15", {"benchmarks": ["avrora"]}, 4)
-        assert not can_shard("fig01b", {}, 4)
-
-    def test_can_shard_declines_oversubscription(self):
-        # fig19's default axis has 4 queue sizes: 4 workers is the most
-        # a shard can use; a 5th would idle on an empty chunk.
-        assert can_shard("fig19", {}, 4)
-        assert not can_shard("fig19", {}, 5)
-        # fig18's axis is the two cache modes.
-        assert can_shard("fig18", {}, 2)
-        assert not can_shard("fig18", {}, 3)
-
     def test_every_new_figure_is_registered(self):
         assert {"fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
                 "fleet_slo", "fleet_lbo"} <= set(SHARDABLE)
 
-    def test_kwargs_aware_default_fn(self):
+    def test_kwargs_aware_default(self):
         # fleet_slo's tenant axis tracks the n_tenants kwarg rather than
         # a static default; explicit tenants kwargs still win.
         assert axis_values("fleet_slo", {"n_tenants": 2}) == [0, 1]
         assert axis_values("fleet_slo", {}) == [0, 1, 2, 3]
         assert axis_values("fleet_slo", {"n_tenants": 2,
                                          "tenants": (0,)}) == [0]
+
+    @pytest.mark.parametrize("exp_id", [
+        exp_id for exp_id in sorted(SHARDABLE)
+        if _signature_default(exp_id) is not None])
+    def test_default_mirrors_the_experiment_function(self, exp_id):
+        """Where the experiment function spells its axis default out,
+        the spec's default is that same tuple."""
+        assert axis_values(exp_id, {}) == list(_signature_default(exp_id))
 
 
 def _synthetic(headers, rows):
@@ -98,26 +83,23 @@ POS = st.floats(min_value=1e-3, max_value=1e3,
 
 
 class TestMergeProperties:
-    """merge(shard-split rows) == unsharded rows, byte-for-byte, for every
-    merge family and every shard count (including oversubscribed)."""
+    """merge(one result per axis value) == unsharded rows, byte-for-byte,
+    for every merge family."""
 
     @settings(deadline=None)
-    @given(values=st.lists(POS, min_size=1, max_size=8),
-           n_shards=st.integers(1, 10))
-    def test_concat(self, values, n_shards):
+    @given(values=st.lists(POS, min_size=1, max_size=8))
+    def test_concat(self, values):
         headers = ["bench", "value"]
         rows = [[f"b{i}", v] for i, v in enumerate(values)]
         full = _synthetic(headers, rows)
-        chunks = split_axis(rows, n_shards)
-        merged = _concat_merge([_synthetic(headers, c) for c in chunks])
+        merged = _concat_merge([_synthetic(headers, [row]) for row in rows])
         assert merged.rows == rows
         assert merged.render() == full.render()
         assert merged.extras == {}
 
     @settings(deadline=None)
-    @given(values=st.lists(st.tuples(POS, POS), min_size=1, max_size=8),
-           n_shards=st.integers(1, 10))
-    def test_geomean_tail_refolds_bit_identically(self, values, n_shards):
+    @given(values=st.lists(st.tuples(POS, POS), min_size=1, max_size=8))
+    def test_geomean_tail_refolds_bit_identically(self, values):
         from repro.engine.stats import geomean
 
         headers = ["bench", "mark", "sweep"]
@@ -133,7 +115,7 @@ class TestMergeProperties:
 
         rows = [[f"b{i}", m, s] for i, (m, s) in enumerate(values)]
         full = result_for(rows)
-        merged = merge([result_for(c) for c in split_axis(rows, n_shards)])
+        merged = merge([result_for([row]) for row in rows])
         assert merged.rows == full.rows
         assert merged.render() == full.render()
 
@@ -142,21 +124,20 @@ class TestMergeProperties:
     def test_column_refold_overlay(self, data):
         n_rows = data.draw(st.integers(1, 6))
         n_modes = data.draw(st.integers(2, 4))
-        n_shards = data.draw(st.integers(1, 6))
         matrix = data.draw(st.lists(
             st.lists(POS, min_size=n_modes, max_size=n_modes),
             min_size=n_rows, max_size=n_rows))
-        # One trailing column blank in every chunk must stay blank.
+        # One trailing column blank in every cell must stay blank.
         headers = ["source"] + [f"m{m}" for m in range(n_modes)] + ["pad"]
         full_rows = [[f"r{r}", *matrix[r], ""] for r in range(n_rows)]
-        chunk_results = []
-        for modes in split_axis(list(range(n_modes)), n_shards):
+        cell_results = []
+        for mode in range(n_modes):
             rows = [[f"r{r}",
-                     *(matrix[r][m] if m in modes else ""
+                     *(matrix[r][m] if m == mode else ""
                        for m in range(n_modes)), ""]
                     for r in range(n_rows)]
-            chunk_results.append(_synthetic(headers, rows))
-        merged = _column_refold_merge(chunk_results)
+            cell_results.append(_synthetic(headers, rows))
+        merged = _column_refold_merge(cell_results)
         assert merged.rows == full_rows
         assert merged.render() == _synthetic(headers, full_rows).render()
 
@@ -192,39 +173,33 @@ class TestShardedIdentity:
         sharded = run_entry_sharded(0, exp_id, kwargs, jobs=2)
         assert sharded.rendered == inline.rendered
         assert sharded.digest == inline.digest
-        assert len(sharded.shard_digests) == 2
+        # One digest per cell, i.e. per axis value.
+        assert len(sharded.shard_digests) == \
+            len(axis_values(exp_id, kwargs))
         assert inline.shard_digests == []
 
-    def test_fallback_for_non_shardable(self):
+    def test_non_shardable_runs_as_one_cell(self):
         kwargs = dict(scale=SCALE, seed=1, n_gcs=1, n_queries=200, warmup=10)
         run = run_entry_sharded(3, "fig01b", kwargs, jobs=4)
         assert run.exp_id == "fig01b"
         assert run.shard_digests == []
+        assert len(run.attempt_history) == 1
         assert run.ok
 
-    def test_single_benchmark_falls_back(self):
+    def test_single_benchmark_runs_as_one_cell(self):
         kwargs = dict(scale=SCALE, seed=1, n_gcs=1, benchmarks=["avrora"])
         run = run_entry_sharded(0, "fig01a", kwargs, jobs=4)
         assert run.shard_digests == []
+        assert len(run.attempt_history) == 1
         assert run.ok
 
-
-class TestShardFailure:
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the patched shard child needs the fork start method")
-    def test_dead_shard_names_its_exit_status(self, monkeypatch):
-        import repro.harness.simcache as simcache
-
-        def dying(exp_id, kwargs, _real=simcache.run_experiment):
-            if kwargs["benchmarks"] == ["avrora"]:
-                os._exit(42)  # die without reporting: pipe EOF
-            return _real(exp_id, kwargs)
-
-        monkeypatch.setattr(simcache, "run_experiment", dying)
-        kwargs = dict(scale=SCALE, seed=1, benchmarks=["avrora", "luindex"])
-        with pytest.raises(RuntimeError, match="status 42"):
-            run_entry_sharded(0, "fig15", kwargs, jobs=2)
+    def test_more_workers_than_values_is_one_cell_per_value(self):
+        """fig19 with 2 queue sizes on 4 workers runs as 2 cells, each
+        recorded with its axis value."""
+        kwargs = dict(scale=SCALE, seed=1, queue_entries=(64, 2048))
+        run = run_entry_sharded(0, "fig19", kwargs, jobs=4)
+        assert run.ok and len(run.shard_digests) == 2
+        assert [rec["cell"] for rec in run.attempt_history] == [64, 2048]
 
 
 class TestWarmShardDigests:

@@ -54,7 +54,7 @@ def cache_env(tmp_path, monkeypatch):
     monkeypatch.setitem(ALL_EXPERIMENTS, "figfake", _figfake)
     monkeypatch.setitem(SHARDABLE, "figfake",
                         ShardSpec(axis="benchmarks", merge=_concat_merge,
-                                  default=AXIS))
+                                  default=lambda kwargs: AXIS))
     _figfake.calls = []
     return tmp_path / "cells"
 
