@@ -61,7 +61,7 @@ def main() -> None:
           "shrinks with the unit because every\npause does. A pause-free "
           "concurrent configuration (§IV-D) would remove the\ntail "
           "entirely at the cost of barrier overheads "
-          "(benchmarks/test_ablations.py).")
+          "(python -m repro run abl_barriers).")
 
 
 if __name__ == "__main__":

@@ -80,8 +80,7 @@ def _cmd_compare(args) -> int:
         print(f"unknown benchmark {args.benchmark!r}; try `list`",
               file=sys.stderr)
         return 2
-    comp = run_gc_comparison(profile, scale=args.scale or 0.03,
-                             seed=args.seed or 1)
+    comp = run_gc_comparison(profile, scale=args.scale, seed=args.seed)
     print(comp.summary())
     print(f"overall speedup: {comp.overall_speedup:.2f}x")
     return 0
@@ -384,8 +383,8 @@ def main(argv=None) -> int:
     run_parser.add_argument("--seed", type=int, default=None)
     cmp_parser = sub.add_parser("compare", help="SW vs HW on one profile")
     cmp_parser.add_argument("benchmark")
-    cmp_parser.add_argument("--scale", type=float, default=None)
-    cmp_parser.add_argument("--seed", type=int, default=None)
+    cmp_parser.add_argument("--scale", type=float, default=0.03)
+    cmp_parser.add_argument("--seed", type=int, default=1)
     sub.add_parser("area", help="print the area model (Fig. 22)")
     all_parser = sub.add_parser(
         "run-all", help="regenerate the full figure set (parallel)")

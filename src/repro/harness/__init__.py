@@ -1,9 +1,9 @@
 """Experiment harness: one runner per figure in the paper's evaluation.
 
 Every function in :mod:`repro.harness.experiments` regenerates one
-table/figure of the paper (see DESIGN.md's experiment index); the
-benchmark suite under ``benchmarks/`` is a thin pytest-benchmark wrapper
-around these runners, and ``EXPERIMENTS.md`` records paper-vs-measured for
+table/figure of the paper (see DESIGN.md's experiment index); the claims
+table in ``tests/paper/test_claims.py`` checks their results against the
+paper's numbers, and ``EXPERIMENTS.md`` records paper-vs-measured for
 each.
 """
 

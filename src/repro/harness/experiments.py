@@ -3,9 +3,9 @@
 Each ``figNN`` function regenerates the corresponding table/figure: it runs
 the simulation at a configurable scale and returns an
 :class:`ExperimentResult` holding the same rows/series the paper plots,
-together with the paper's claim for side-by-side comparison. The pytest
-benchmarks under ``benchmarks/`` and the EXPERIMENTS.md generator both call
-these functions.
+together with the paper's claim for side-by-side comparison. The paper
+claims table (``tests/paper/test_claims.py``) and the EXPERIMENTS.md
+generator (``python -m repro run-all``) both call these functions.
 
 Scales are chosen so a figure regenerates in seconds-to-minutes of wall
 time; the reproduced quantities are ratios and shapes, which are stable
@@ -984,7 +984,7 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
     )
 
 
-#: Registry used by EXPERIMENTS.md generation and the benchmark suite.
+#: Registry used by EXPERIMENTS.md generation and the paper claims table.
 ALL_EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig01a": fig01a,
     "fig01b": fig01b,

@@ -30,6 +30,31 @@ class TestCLI:
     def test_compare_unknown_benchmark(self, capsys):
         assert main(["compare", "specjbb"]) == 2
 
+    def test_compare_passes_falsy_seed_and_scale_through(self, capsys,
+                                                         monkeypatch):
+        import repro.harness.runners as runners
+        calls = []
+
+        class Comparison:
+            overall_speedup = 1.0
+
+            def summary(self):
+                return ""
+
+        def record(profile, scale, seed):
+            calls.append((profile.name, scale, seed))
+            return Comparison()
+
+        monkeypatch.setattr(runners, "run_gc_comparison", record)
+        assert main(["compare", "avrora"]) == 0
+        assert main(["compare", "avrora", "--seed", "0"]) == 0
+        assert calls == [("avrora", 0.03, 1), ("avrora", 0.03, 0)]
+        # --scale 0 is refused by name, as `run --scale 0` is, instead of
+        # silently running the default scale.
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="scale 0.0 leaves only 0"):
+            main(["compare", "avrora", "--scale", "0"])
+
     def test_area(self, capsys):
         assert main(["area"]) == 0
         assert "Mark Q." in capsys.readouterr().out

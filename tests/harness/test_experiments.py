@@ -2,7 +2,8 @@
 
 Each test regenerates a figure at a scale small enough for CI and checks
 the *shape* of the result (direction of speedups, dominance relations),
-not exact magnitudes — magnitudes belong to the benchmark suite.
+not exact magnitudes — magnitudes against the paper's own numbers are
+checked by the claims table in ``tests/paper/test_claims.py``.
 """
 
 import pytest
@@ -91,11 +92,6 @@ class TestDesignSpace:
 
 
 class TestStaticModels:
-    def test_fig22(self):
-        result = E.fig22()
-        values = {row[0]: row[1] for row in result.rows}
-        assert values["unit/Rocket ratio %"] == pytest.approx(18.5, abs=2)
-
     @pytest.mark.slow
     def test_fig23_energy_direction(self):
         # Needs a heap comfortably larger than the CPU caches (like the
@@ -106,14 +102,6 @@ class TestStaticModels:
         assert unit_mw > cpu_mw  # higher DRAM power
         assert unit_mj < cpu_mj  # lower energy
         assert saving > 0
-
-    def test_abl_barriers_ordering(self):
-        result = E.abl_barriers()
-        rows = {row[0]: row for row in result.rows}
-        # Trap storms: VM traps are cheapest quiet, worst under churn.
-        assert rows["vm_trap"][1] < rows["refload"][1]
-        assert rows["vm_trap"][2] > rows["software"][2]
-        assert rows["refload"][1] < rows["software"][1]
 
 
 class TestAblations:
