@@ -95,8 +95,7 @@ def _cmd_area(_args) -> int:
 def _cmd_run_all(args) -> int:
     import time
 
-    from repro.harness import simcache
-    from repro.harness.diskcache import max_mb_from_env
+    from repro.harness.diskcache import CAP_VARS, max_mb_from_env, sim_store
     from repro.harness.faults import FaultSpecError
     from repro.harness.parallel import (
         SuiteRunError,
@@ -120,15 +119,15 @@ def _cmd_run_all(args) -> int:
         return 2
     jobs = args.jobs if args.jobs else default_jobs()
     only = args.only.split(",") if args.only else None
-    cache_dir = simcache.cache_dir_from_env()
-    if cache_dir is None and simcache.configured_cache_dir() is not None:
+    store = sim_store()
+    if store.bypassed:
         # The one case where a rerun against the cache recomputes
         # everything; say so rather than let it look like a cold cache.
         print("sim cache: bypassed (REPRO_HWFAULTS is armed)", flush=True)
     t0 = time.time()
     try:
         # Parse the cache caps here, not on a worker's first write.
-        for var in ("REPRO_SIM_CACHE_MAX_MB", "REPRO_HEAP_CACHE_MAX_MB"):
+        for var in CAP_VARS:
             max_mb_from_env(var)
         runs = run_suite(jobs=jobs, only=only,
                          progress=lambda msg: print(msg, flush=True),
@@ -143,9 +142,10 @@ def _cmd_run_all(args) -> int:
         return 2
     except SuiteRunError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
-        if cache_dir is not None:
-            print(f"completed cells are cached in {cache_dir}; rerun with "
-                  "the same REPRO_SIM_CACHE to continue", file=sys.stderr)
+        if store.directory is not None:
+            print(f"completed cells are cached in {store.directory}; "
+                  "rerun with the same REPRO_SIM_CACHE to continue",
+                  file=sys.stderr)
         return 1
     elapsed = time.time() - t0
     if args.out:
@@ -300,6 +300,7 @@ def _cmd_fleet(args) -> int:
 
     from repro.fleet.admission import POLICIES, resolve_policy
     from repro.fleet.faults import FleetFaultSpec, FleetFaultSpecError
+    from repro.harness.diskcache import CAP_VARS, max_mb_from_env
     from repro.harness.experiments import (
         fleet_lbo,
         fleet_resilience,
@@ -330,6 +331,9 @@ def _cmd_fleet(args) -> int:
     try:
         for policy in policies:
             resolve_policy(policy)
+        # Base runs are stored in REPRO_SIM_CACHE: parse its cap up front.
+        for var in CAP_VARS:
+            max_mb_from_env(var)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -10,41 +10,71 @@ tenants by a deterministic phase offset (staggered process start), which
 is what actually matters to the admission queue: whether GC requests
 collide in time.
 
-Base runs are cached per process and never mutated; tenant timelines are
-built from :func:`dataclasses.replace` copies.
+Base runs and the heap digests after them are entries of the
+``REPRO_SIM_CACHE`` store (kinds ``base-run`` and ``tenant-digest`` of
+:mod:`repro.harness.diskcache`), so a second invocation against the same
+cache simulates none of them. In-process they are memoized too, and never
+mutated: tenant timelines are built from :func:`dataclasses.replace`
+copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Tuple
+from dataclasses import asdict, replace
+from typing import Any, Callable, Dict, Tuple
 
+from repro.harness.diskcache import decode_json, encode_json, sim_store
 from repro.harness.runners import build_heap
-from repro.workloads.mutator import MutatorModel, MutatorRunResult
+from repro.workloads.mutator import (
+    GCPauseRecord,
+    MutatorModel,
+    MutatorRunResult,
+)
 from repro.workloads.profiles import DACAPO_PROFILES
 
-_BASE_CACHE: Dict[Tuple[str, str, float, int, int], MutatorRunResult] = {}
-_DIGEST_CACHE: Dict[Tuple[str, str, float, int, int], str] = {}
+_MEMO: Dict[Tuple[str, str, str, float, int, int], Any] = {}
 
 
 def reset_base_cache() -> None:
     """Drop memoized base runs and heap digests (test isolation)."""
-    _BASE_CACHE.clear()
-    _DIGEST_CACHE.clear()
+    _MEMO.clear()
+
+
+def _stored(kind: str, finish: Callable[[MutatorModel, MutatorRunResult], Any],
+            benchmark: str, collector: str, scale: float, seed: int,
+            n_gcs: int, encode: Callable[[Any], bytes] = encode_json,
+            decode: Callable[[bytes], Any] = decode_json) -> Any:
+    """``finish(model, run)`` after ``n_gcs`` collections of one profile ×
+    collector: memoized in-process, stored in ``REPRO_SIM_CACHE``."""
+    memo_key = (kind, benchmark, collector, scale, seed, n_gcs)
+    if memo_key not in _MEMO:
+        def compute():
+            built, _checkpoint = build_heap(DACAPO_PROFILES[benchmark],
+                                            scale=scale, seed=seed)
+            model = MutatorModel(built, collector=collector, seed=seed)
+            return finish(model, model.run(n_gcs=n_gcs))
+
+        inputs = {"benchmark": benchmark, "collector": collector,
+                  "scale": float(scale), "seed": seed, "n_gcs": n_gcs}
+        _MEMO[memo_key], _hit = sim_store().get_or_compute(
+            kind, inputs, compute, encode, decode)
+    return _MEMO[memo_key]
+
+
+def _run_from_json(payload: Dict[str, Any]) -> MutatorRunResult:
+    return MutatorRunResult(
+        collector=payload["collector"],
+        pauses=[GCPauseRecord(**pause) for pause in payload["pauses"]],
+        mutator_cycles=payload["mutator_cycles"])
 
 
 def base_run(benchmark: str, collector: str, scale: float, seed: int,
              n_gcs: int) -> MutatorRunResult:
     """The shared (memoized) mutator run for one profile × collector."""
-    key = (benchmark, collector, scale, seed, n_gcs)
-    cached = _BASE_CACHE.get(key)
-    if cached is None:
-        built, _checkpoint = build_heap(DACAPO_PROFILES[benchmark],
-                                        scale=scale, seed=seed)
-        cached = MutatorModel(built, collector=collector,
-                              seed=seed).run(n_gcs=n_gcs)
-        _BASE_CACHE[key] = cached
-    return cached
+    return _stored("base-run", lambda _model, run: run,
+                   benchmark, collector, scale, seed, n_gcs,
+                   encode=lambda run: encode_json(asdict(run)),
+                   decode=lambda blob: _run_from_json(decode_json(blob)))
 
 
 def tenant_heap_digest(benchmark: str, collector: str, scale: float,
@@ -58,20 +88,13 @@ def tenant_heap_digest(benchmark: str, collector: str, scale: float,
     converges to the fault-free digest exactly when every surviving
     tenant's collections all actually ran — pass the count of served
     collections as ``n_gcs`` and a scheduler that dropped or duplicated
-    one diverges here. Memoized like :func:`base_run`.
+    one diverges here. Memoized and stored like :func:`base_run`.
     """
     from repro.heap.verify import heap_digest
 
-    key = (benchmark, collector, scale, seed, n_gcs)
-    cached = _DIGEST_CACHE.get(key)
-    if cached is None:
-        built, _checkpoint = build_heap(DACAPO_PROFILES[benchmark],
-                                        scale=scale, seed=seed)
-        model = MutatorModel(built, collector=collector, seed=seed)
-        model.run(n_gcs=n_gcs)
-        cached = heap_digest(model.heap)
-        _DIGEST_CACHE[key] = cached
-    return cached
+    return _stored("tenant-digest",
+                   lambda model, _run: heap_digest(model.heap),
+                   benchmark, collector, scale, seed, n_gcs)
 
 
 def tenant_timeline(base: MutatorRunResult,

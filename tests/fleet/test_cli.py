@@ -91,6 +91,29 @@ class TestFleetCommand:
         digest = out.strip().splitlines()[-1]
         assert len(digest) == 64 and int(digest, 16) >= 0
 
+    def test_second_run_serves_base_runs_from_the_sim_cache(
+            self, capsys, monkeypatch, tmp_path):
+        import repro.fleet.timeline as timeline
+
+        argv = ["fleet", "--scale", "0.008", "--tenants", "2",
+                "--queries", "300", "--warmup", "30", "--gcs", "1",
+                "--policy", "dedicated", "--digest"]
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path))
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert list(tmp_path.glob("*.base-run"))
+        timeline.reset_base_cache()  # a second invocation
+        monkeypatch.setattr(timeline.MutatorModel, "run", lambda *a, **k:
+                            pytest.fail("a stored base run re-simulated"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_bad_sim_cache_cap_exits_2_naming_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_CACHE_MAX_MB", "banana")
+        assert main(["fleet", "--tenants", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_SIM_CACHE_MAX_MB" in err and "'banana'" in err
+
     @pytest.mark.slow
     def test_lbo_flag_appends_the_lbo_table(self, capsys):
         rc = main(["fleet", "--scale", "0.008", "--tenants", "2",

@@ -1,9 +1,9 @@
 """Heap-build cache: hits must be byte-identical, keys must not alias.
 
-Covers the satellite requirements: a cache hit returns a byte-identical
-``HeapCheckpoint`` (and a fully usable fresh heap), and any change to
-profile / scale / seed / memory-config invalidates the key — no stale-heap
-reuse, in memory or on disk.
+A cache hit returns a byte-identical ``HeapCheckpoint`` (and a fully
+usable fresh heap), and any change to profile / scale / seed /
+memory-config / code invalidates the key — no stale-heap reuse, in memory
+or on disk.
 """
 
 import dataclasses
@@ -11,8 +11,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.harness import heapcache
-from repro.harness.heapcache import HeapBuildCache, fingerprint
+from repro.harness import diskcache, heapcache
+from repro.harness.diskcache import entry_key
+from repro.harness.heapcache import HEAP_KIND, HeapBuildCache, build_inputs
 from repro.memory.config import MemorySystemConfig
 from repro.workloads.profiles import DACAPO_PROFILES
 
@@ -36,6 +37,10 @@ def _checkpoints_byte_identical(a, b) -> bool:
             continue
         assert getattr(a, fld.name) == getattr(b, fld.name), fld.name
     return True
+
+
+def fingerprint(profile, scale, seed, config):
+    return entry_key(HEAP_KIND, build_inputs(profile, scale, seed, config))
 
 
 class TestFingerprint:
@@ -117,24 +122,6 @@ class TestInProcessCache:
         assert len(cache._mem) == 1
 
 
-class TestEntriesEnv:
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HEAP_CACHE_ENTRIES", raising=False)
-        assert heapcache.get_cache().entries == heapcache.DEFAULT_ENTRIES
-
-    def test_positive_value_sizes_the_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEAP_CACHE_ENTRIES", "3")
-        assert heapcache.get_cache().entries == 3
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-    def test_bad_value_names_the_variable_and_value(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_HEAP_CACHE_ENTRIES", raw)
-        with pytest.raises(ValueError) as excinfo:
-            heapcache.get_cache()
-        assert "REPRO_HEAP_CACHE_ENTRIES" in str(excinfo.value)
-        assert repr(raw) in str(excinfo.value)
-
-
 class TestDiskCache:
     def test_roundtrip_across_processes(self, tmp_path):
         first = HeapBuildCache(disk_dir=tmp_path)
@@ -167,6 +154,45 @@ class TestDiskCache:
         cache = HeapBuildCache(disk_dir=target / "sub")
         _built, cp = cache.get_or_build(PROFILE, SCALE, 1)
         assert cp.words.size  # build still succeeded
+
+
+class TestCodeFingerprint:
+    """The stale-heap defect: a heap built by older code must never feed
+    a simulation under newer code."""
+
+    def test_entry_from_other_code_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "a" * 64)
+        HeapBuildCache(disk_dir=tmp_path).get_or_build(PROFILE, SCALE, 1)
+        monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "b" * 64)
+        fresh = HeapBuildCache(disk_dir=tmp_path)
+        fresh.get_or_build(PROFILE, SCALE, 1)
+        assert fresh.disk_hits == 0 and fresh.misses == 1
+
+    def test_cell_after_a_code_change_matches_a_cacheless_run(
+            self, tmp_path, monkeypatch):
+        from repro.harness.simcache import run_experiment
+        from repro.workloads.graphgen import HeapGraphBuilder
+
+        kwargs = {"scale": 0.005, "benchmarks": ["avrora"]}
+        monkeypatch.delenv("REPRO_HWFAULTS", raising=False)
+        monkeypatch.setenv("REPRO_HEAP_CACHE", str(tmp_path / "heaps"))
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
+        monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "a" * 64)
+        before, _ = run_experiment("abl_layout", kwargs)  # warms both
+
+        # The code change: arrays capped at 4 references, not 128.
+        monkeypatch.setattr(HeapGraphBuilder, "_MAX_MS_REFS", 4)
+        monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "b" * 64)
+        heapcache.reset_cache()  # a new process: only the disks are warm
+        warm, acct = run_experiment("abl_layout", kwargs)
+        assert acct.as_tuple() == (0, 1)
+
+        monkeypatch.delenv("REPRO_HEAP_CACHE")
+        monkeypatch.delenv("REPRO_SIM_CACHE")
+        heapcache.reset_cache()
+        cacheless, _ = run_experiment("abl_layout", kwargs)
+        assert cacheless.rows != before.rows  # the change is visible
+        assert warm.rows == cacheless.rows
 
 
 class TestCachedRunsAreIdentical:

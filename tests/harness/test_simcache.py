@@ -2,31 +2,33 @@
 
 The contract under test: a warm cache serves unchanged cells without
 re-simulating and renders byte-identical tables; anything that could
-change an output (kwargs, engine, code) changes the cell key; anything
-broken on disk (corruption, IO trouble) degrades to re-simulation, never
-to a wrong or failed run; an armed hardware-fault plane bypasses the
-cache entirely. Cells are the only persisted results, so resuming a run
-means rerunning it against the same cache.
+change an output (kwargs, engine, code) changes the cell key; IO trouble
+degrades to re-simulation, never to a wrong or failed run (corrupt
+entries of every kind are ``test_diskcache.py``'s); an armed
+hardware-fault plane bypasses the cache entirely. Cells are the only
+persisted figure results, so resuming a run means rerunning it against
+the same cache.
 """
 
-import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness import simcache
-from repro.harness.diskcache import unwrap_payload, wrap_payload
+from repro.harness import diskcache, simcache
+from repro.harness.diskcache import (
+    decode_json,
+    encode_json,
+    entry_key,
+    sim_store,
+    unwrap,
+    wrap,
+)
 from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult
 from repro.harness.parallel import digests, run_suite
 from repro.harness.sharding import SHARDABLE, ShardSpec, _concat_merge
-from repro.harness.simcache import (
-    CELL_SUFFIX,
-    cache_dir_from_env,
-    cell_key,
-    run_experiment,
-)
+from repro.harness.simcache import CELL_KIND, cell_inputs, run_experiment
 
 AXIS = ("alpha", "beta", "gamma")
 
@@ -60,7 +62,7 @@ def cache_env(tmp_path, monkeypatch):
 
 
 def _cells(cache_dir):
-    return sorted(cache_dir.glob(f"*{CELL_SUFFIX}"))
+    return sorted(cache_dir.glob(f"*.{CELL_KIND}"))
 
 
 class TestLifecycle:
@@ -147,8 +149,8 @@ def _nan_eq(a, b) -> bool:
 
 
 def _round_trip(result):
-    text = wrap_payload(simcache._result_to_payload(result))
-    return simcache._result_from_payload(unwrap_payload(text))
+    blob = wrap(encode_json(simcache._result_to_payload(result)))
+    return simcache._result_from_payload(decode_json(unwrap(blob)))
 
 
 class TestCellRoundTrip:
@@ -174,55 +176,23 @@ class TestCellRoundTrip:
         assert _round_trip(empty).rows == []
 
 
+def cell_key(exp_id, kwargs):
+    return entry_key(CELL_KIND, cell_inputs(exp_id, kwargs))
+
+
 class TestKeying:
     def test_tuple_and_list_spellings_share_a_cell(self):
         assert (cell_key("figfake", {"benchmarks": ("alpha",)})
                 == cell_key("figfake", {"benchmarks": ["alpha"]}))
 
     def test_code_fingerprint_keys_the_cell(self, monkeypatch):
-        monkeypatch.setattr(simcache, "_CODE_FINGERPRINT", "a" * 64)
+        monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "a" * 64)
         before = cell_key("figfake", {})
-        monkeypatch.setattr(simcache, "_CODE_FINGERPRINT", "b" * 64)
+        monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "b" * 64)
         assert cell_key("figfake", {}) != before
 
 
-def _truncate(text):
-    return text[: len(text) // 2]
-
-
-def _flip_payload_byte(text):
-    doc = json.loads(text)
-    doc["payload_json"] = doc["payload_json"].replace('"fake"', '"fakf"')
-    return json.dumps(doc)
-
-
-def _foreign_schema(text):
-    doc = json.loads(text)
-    doc["schema"] = 999
-    return json.dumps(doc)
-
-
 class TestRobustness:
-    @pytest.mark.parametrize("corrupt", [
-        _truncate,
-        _flip_payload_byte,  # sha256 mismatch
-        _foreign_schema,
-        lambda text: "{ not an envelope",
-    ], ids=["truncated", "sha256-mismatch", "foreign-schema", "no-envelope"])
-    def test_corrupt_cell_is_resimulated_and_overwritten(self, cache_env,
-                                                         corrupt):
-        cold, _ = run_experiment("figfake", {})
-        victim = _cells(cache_env)[0]
-        text = victim.read_text()
-        victim.write_text(corrupt(text))
-        assert victim.read_text() != text
-        again, acct = run_experiment("figfake", {})
-        assert acct.as_tuple() == (2, 1)
-        assert again.render() == cold.render()
-        # The overwrite healed the entry: next run is all hits.
-        _, acct = run_experiment("figfake", {})
-        assert acct.as_tuple() == (3, 0)
-
     def test_disk_trouble_degrades_to_resimulation(self, tmp_path,
                                                    monkeypatch, cache_env):
         blocker = tmp_path / "blocker"
@@ -234,7 +204,7 @@ class TestRobustness:
 
     def test_hwfaults_plane_bypasses_the_cache(self, cache_env, monkeypatch):
         monkeypatch.setenv("REPRO_HWFAULTS", "marker:drop:1")
-        assert cache_dir_from_env() is None
+        assert sim_store().directory is None
         _, acct = run_experiment("figfake", {})
         assert acct.as_tuple() == (0, 0)
         assert not cache_env.exists()  # nothing stored under an armed plane
@@ -286,7 +256,7 @@ class TestResume:
         """The stale-resume defect: a rerun after a source edit must not
         splice in results the older code produced."""
         monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
-        monkeypatch.setattr(simcache, "_CODE_FINGERPRINT", "a" * 64)
+        monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "a" * 64)
         run_suite(jobs=1, only=["fig22"])
         real = ALL_EXPERIMENTS["fig22"]
 
@@ -296,7 +266,7 @@ class TestResume:
             return result
 
         monkeypatch.setitem(ALL_EXPERIMENTS, "fig22", edited)
-        monkeypatch.setattr(simcache, "_CODE_FINGERPRINT", "b" * 64)
+        monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "b" * 64)
         (rerun,) = run_suite(jobs=1, only=["fig22"])
         assert (rerun.cache_hits, rerun.cache_misses) == (0, 1)
         assert rerun.digest != digests(clean)["fig22"]
