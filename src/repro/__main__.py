@@ -164,6 +164,9 @@ def _cmd_run_all(args) -> int:
     if hits or misses:
         print(f"sim cache: {hits} hit(s), {misses} simulated "
               f"cell(s)")
+    ahead = sum(r.base_runs_ahead for r in runs)
+    if ahead:
+        print(f"fleet base runs: {ahead} simulated ahead of their cells")
     if retried:
         print(f"{len(retried)} recovered after retries: "
               + ", ".join(f"{r.exp_id} x{r.attempts}" for r in retried))

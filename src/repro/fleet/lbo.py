@@ -30,7 +30,7 @@ from typing import Any, List, Sequence, Tuple
 
 from repro.engine.stats import geomean
 from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
-from repro.fleet.timeline import base_run
+from repro.fleet.timeline import BaseRunReader, base_run
 
 LBO_HEADERS: Tuple[str, ...] = (
     "fleet size", "collector", "mean cost ms", "GC work %", "LBO %",
@@ -56,6 +56,7 @@ def fleet_lbo_rows(
     fleet_sizes: Sequence[int] = (2, 4),
     collectors: Sequence[str] = ("sw", "hw", "concurrent"),
     profiles_cycle: Sequence[str] = DEFAULT_PROFILES_CYCLE,
+    base_runs: BaseRunReader = base_run,
 ) -> List[List[Any]]:
     """LBO table rows, grouped by fleet size (the shard axis).
 
@@ -71,7 +72,8 @@ def fleet_lbo_rows(
                            profiles_cycle=tuple(profiles_cycle),
                            scale=scale, seed=seed, n_gcs=n_gcs).tenants()
         runs = {
-            collector: [base_run(t.benchmark, collector, scale, seed, n_gcs)
+            collector: [base_runs(t.benchmark, collector, scale, seed,
+                                  n_gcs)
                         for t in roster]
             for collector in collectors
         }

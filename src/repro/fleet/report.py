@@ -32,7 +32,7 @@ from repro.fleet.admission import (
 from repro.fleet.faults import FleetFaultSpec
 from repro.fleet.spec import FleetSpec, TenantSpec
 from repro.fleet.balancer import spray, tenant_arrivals
-from repro.fleet.timeline import base_run, tenant_timeline
+from repro.fleet.timeline import BaseRunReader, base_run, tenant_timeline
 from repro.workloads.latency import (
     SERVICE_SIGMA,
     QueryReplay,
@@ -157,7 +157,8 @@ def fleet_summary_rows(rows: Sequence[Sequence[Any]]) -> List[List[Any]]:
     return out
 
 
-def derive_schedule(spec: FleetSpec) -> Tuple[int, int]:
+def derive_schedule(spec: FleetSpec,
+                    base_runs: BaseRunReader = base_run) -> Tuple[int, int]:
     """(interval, mean service) cycles for the fleet's query stream.
 
     Derived from the roster's *hardware* base runs — never from the
@@ -168,8 +169,8 @@ def derive_schedule(spec: FleetSpec) -> Tuple[int, int]:
         return spec.interval_cycles, spec.service_mean_cycles
     total_gc = total_pauses = 0
     for tenant in spec.tenants():
-        run = base_run(tenant.benchmark, "hw", spec.scale, spec.seed,
-                       spec.n_gcs)
+        run = base_runs(tenant.benchmark, "hw", spec.scale, spec.seed,
+                        spec.n_gcs)
         total_gc += run.gc_cycles
         total_pauses += len(run.pauses)
     mean_pause = total_gc // max(1, total_pauses)
@@ -183,13 +184,15 @@ def simulate_fleet(
     policies: Sequence[str] = POLICIES,
     tenant_indices: Optional[Sequence[int]] = None,
     faults: Optional[FleetFaultSpec] = None,
+    base_runs: BaseRunReader = base_run,
 ) -> FleetResult:
     """Simulate the fleet; replay only ``tenant_indices`` (default: all).
 
     ``faults`` arms the fleet fault plane (shared policy only; the
     dedicated/software baselines have no shared pool to fail). With it
     unset every code path is byte-identical to the fault-free driver —
-    the pinned ``fleet_slo`` digest contract.
+    the pinned ``fleet_slo`` digest contract. Every base run is read
+    through ``base_runs``.
     """
     roster = spec.tenants()
     if tenant_indices is None:
@@ -202,7 +205,7 @@ def simulate_fleet(
         faults = None  # an empty spec is the fault-free run, exactly
     if faults is not None:
         faults.validate(spec.n_units, spec.n_tenants)
-    interval, service = derive_schedule(spec)
+    interval, service = derive_schedule(spec, base_runs)
     assignments = spray(spec.n_queries, spec.n_tenants, spec.seed)
     horizon = spec.n_queries * interval
     shed_cycles = (spec.shed_backlog_intervals * interval
@@ -221,16 +224,16 @@ def simulate_fleet(
         collector = "sw" if policy == "software" else "hw"
         requested = [
             tenant_timeline(
-                base_run(t.benchmark, collector, spec.scale, spec.seed,
-                         spec.n_gcs),
+                base_runs(t.benchmark, collector, spec.scale, spec.seed,
+                          spec.n_gcs),
                 t.phase_frac)
             for t in roster
         ]
         armed = faults is not None and policy == "shared"
         software = [
             tenant_timeline(
-                base_run(t.benchmark, "sw", spec.scale, spec.seed,
-                         spec.n_gcs),
+                base_runs(t.benchmark, "sw", spec.scale, spec.seed,
+                          spec.n_gcs),
                 t.phase_frac)
             for t in roster
         ] if armed else None
@@ -285,8 +288,8 @@ def simulate_fleet(
     )
 
 
-def fleet_resilience_row(label: str, spec: FleetSpec,
-                         faults_spec: str) -> List[Any]:
+def fleet_resilience_row(label: str, spec: FleetSpec, faults_spec: str,
+                         base_runs: BaseRunReader = base_run) -> List[Any]:
     """One fleet-level row of the ``fleet_resilience`` table.
 
     Simulates the shared policy under one fault roster and folds the
@@ -297,7 +300,8 @@ def fleet_resilience_row(label: str, spec: FleetSpec,
     raises :class:`ConservationError` rather than rendering a wrong row.
     """
     faults = FleetFaultSpec.parse(faults_spec)
-    result = simulate_fleet(spec, policies=("shared",), faults=faults)
+    result = simulate_fleet(spec, policies=("shared",), faults=faults,
+                            base_runs=base_runs)
     reports = [result.reports[(t, "shared")]
                for t in result.tenant_indices]
     horizon = spec.n_queries * result.interval_cycles

@@ -15,13 +15,15 @@ Base runs and the heap digests after them are entries of the
 :mod:`repro.harness.diskcache`), so a second invocation against the same
 cache simulates none of them. In-process they are memoized too, and never
 mutated: tenant timelines are built from :func:`dataclasses.replace`
-copies.
+copies. The memo is per process: across a parallel ``run-all``'s
+workers the store shares them, and the pool simulates each missing one
+once, ahead of the cells that read it (:mod:`repro.harness.parallel`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, replace
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Iterable, Tuple
 
 from repro.harness.diskcache import decode_json, encode_json, sim_store
 from repro.harness.runners import build_heap
@@ -33,6 +35,15 @@ from repro.workloads.mutator import (
 from repro.workloads.profiles import DACAPO_PROFILES
 
 _MEMO: Dict[Tuple[str, str, str, float, int, int], Any] = {}
+
+#: ``(benchmark, collector, scale, seed, n_gcs)``: one base run.
+BaseRunKey = Tuple[str, str, float, int, int]
+
+BASE_RUN_KIND = "base-run"
+
+#: How fleet code reads a base run: :func:`base_run` itself, or a figure
+#: cell's :class:`BaseRuns`.
+BaseRunReader = Callable[[str, str, float, int, int], MutatorRunResult]
 
 
 def reset_base_cache() -> None:
@@ -54,11 +65,21 @@ def _stored(kind: str, finish: Callable[[MutatorModel, MutatorRunResult], Any],
             model = MutatorModel(built, collector=collector, seed=seed)
             return finish(model, model.run(n_gcs=n_gcs))
 
-        inputs = {"benchmark": benchmark, "collector": collector,
-                  "scale": float(scale), "seed": seed, "n_gcs": n_gcs}
         _MEMO[memo_key], _hit = sim_store().get_or_compute(
-            kind, inputs, compute, encode, decode)
+            kind, _inputs(benchmark, collector, scale, seed, n_gcs),
+            compute, encode, decode)
     return _MEMO[memo_key]
+
+
+def _inputs(benchmark: str, collector: str, scale: float, seed: int,
+            n_gcs: int) -> Dict[str, Any]:
+    return {"benchmark": benchmark, "collector": collector,
+            "scale": float(scale), "seed": seed, "n_gcs": n_gcs}
+
+
+def base_run_stored(key: BaseRunKey) -> bool:
+    """Whether ``key``'s base run is already an entry of the sim store."""
+    return sim_store().has(BASE_RUN_KIND, _inputs(*key))
 
 
 def _run_from_json(payload: Dict[str, Any]) -> MutatorRunResult:
@@ -71,10 +92,29 @@ def _run_from_json(payload: Dict[str, Any]) -> MutatorRunResult:
 def base_run(benchmark: str, collector: str, scale: float, seed: int,
              n_gcs: int) -> MutatorRunResult:
     """The shared (memoized) mutator run for one profile × collector."""
-    return _stored("base-run", lambda _model, run: run,
+    return _stored(BASE_RUN_KIND, lambda _model, run: run,
                    benchmark, collector, scale, seed, n_gcs,
                    encode=lambda run: encode_json(asdict(run)),
                    decode=lambda blob: _run_from_json(decode_json(blob)))
+
+
+class BaseRuns:
+    """The base runs one fleet cell may read, each loaded on first read.
+
+    Called like :func:`base_run`. A read outside ``keys`` raises
+    ``KeyError``: the list is what the worker pool simulates ahead of the
+    cell, so a figure that read past it would quietly simulate again.
+    """
+
+    def __init__(self, keys: Iterable[BaseRunKey]):
+        self.keys = frozenset(keys)
+
+    def __call__(self, benchmark: str, collector: str, scale: float,
+                 seed: int, n_gcs: int) -> MutatorRunResult:
+        key = (benchmark, collector, scale, seed, n_gcs)
+        if key not in self.keys:
+            raise KeyError(f"base run {key} is not in the cell's list")
+        return base_run(*key)
 
 
 def tenant_heap_digest(benchmark: str, collector: str, scale: float,

@@ -277,6 +277,18 @@ class Store:
     max_mb_var: str
     bypassed: bool = False
 
+    def _path(self, kind: str, inputs: Any) -> Path:
+        return self.directory / f"{entry_key(kind, inputs)}.{kind}"
+
+    def has(self, kind: str, inputs: Any) -> bool:
+        """Whether an entry of ``kind`` for ``inputs`` is on disk.
+
+        Presence only: a corrupt entry still counts, and its reader
+        computes it again through :meth:`get_or_compute`.
+        """
+        return (self.directory is not None
+                and self._path(kind, inputs).is_file())
+
     def get_or_compute(self, kind: str, inputs: Any,
                        compute: Callable[[], Any],
                        encode: Callable[[Any], bytes] = encode_json,
@@ -290,7 +302,7 @@ class Store:
         """
         if self.directory is None:
             return compute(), False
-        path = self.directory / f"{entry_key(kind, inputs)}.{kind}"
+        path = self._path(kind, inputs)
         try:
             value = decode(unwrap(path.read_bytes()))
         except Exception:

@@ -861,9 +861,11 @@ def fleet_slo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
     always derived from the full roster, so any subset reproduces its
     rows byte-identically.
     """
+    reads = fleet_base_runs("fleet_slo", locals())  # locals(): the args
     from repro.fleet.report import SLO_HEADERS, fleet_summary_rows, \
         simulate_fleet
     from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
+    from repro.fleet.timeline import BaseRuns
 
     spec = FleetSpec(
         n_tenants=n_tenants,
@@ -875,7 +877,8 @@ def fleet_slo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
         shed_backlog_intervals=shed_backlog_intervals,
     )
     result = simulate_fleet(spec, policies=tuple(policies),
-                            tenant_indices=tenants)
+                            tenant_indices=tenants,
+                            base_runs=BaseRuns(reads))
     rows = result.rows()
     return ExperimentResult(
         exp_id="fleet_slo",
@@ -900,14 +903,17 @@ def fleet_lbo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
               collectors: Sequence[str] = ("sw", "hw", "concurrent"),
               profiles_cycle: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Lower-bound GC overhead per collector (Cai et al.), per fleet size."""
+    reads = fleet_base_runs("fleet_lbo", locals())  # locals(): the args
     from repro.fleet.lbo import LBO_HEADERS, fleet_lbo_rows
     from repro.fleet.spec import DEFAULT_PROFILES_CYCLE
+    from repro.fleet.timeline import BaseRuns
 
     rows = fleet_lbo_rows(
         scale=scale, seed=seed, n_gcs=n_gcs, fleet_sizes=tuple(fleet_sizes),
         collectors=tuple(collectors),
         profiles_cycle=tuple(profiles_cycle) if profiles_cycle is not None
         else DEFAULT_PROFILES_CYCLE,
+        base_runs=BaseRuns(reads),
     )
     return ExperimentResult(
         exp_id="fleet_lbo",
@@ -946,9 +952,11 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
     whole fleet schedule from the spec, so any roster subset reproduces
     its row byte-identically.
     """
+    reads = fleet_base_runs("fleet_resilience", locals())  # locals(): args
     from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS
     from repro.fleet.report import RESILIENCE_HEADERS, fleet_resilience_row
     from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
+    from repro.fleet.timeline import BaseRuns
 
     if rosters is None:
         rosters = DEFAULT_RESILIENCE_ROSTERS
@@ -963,7 +971,8 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
         failover_retries=failover_retries,
         failover_timeout_cycles=failover_timeout_cycles,
     )
-    rows = [fleet_resilience_row(label, spec, faults_spec)
+    base_runs = BaseRuns(reads)
+    rows = [fleet_resilience_row(label, spec, faults_spec, base_runs)
             for label, faults_spec in rosters]
     return ExperimentResult(
         exp_id="fleet_resilience",
@@ -982,6 +991,78 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
         "conservation (arrived == done + in-flight + shed) is asserted "
         "per tenant before any row renders.",
     )
+
+
+def _roster_base_runs(scale: float, seed: int, n_gcs: int,
+                      fleet_sizes: Sequence[int],
+                      collectors: Sequence[str],
+                      profiles_cycle: Optional[Sequence[str]]
+                      ) -> Tuple[Any, ...]:
+    """Each collector's base run of every profile in fleets of
+    ``fleet_sizes`` — what ``fleet_lbo`` reads."""
+    from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
+
+    cycle = (tuple(profiles_cycle) if profiles_cycle is not None
+             else DEFAULT_PROFILES_CYCLE)
+    keys: Dict[Any, None] = {}
+    for collector in collectors:
+        for size in fleet_sizes:
+            for tenant in FleetSpec(n_tenants=size, profiles_cycle=cycle,
+                                    scale=scale, seed=seed,
+                                    n_gcs=n_gcs).tenants():
+                keys[(tenant.benchmark, collector, scale, seed, n_gcs)] = None
+    return tuple(keys)
+
+
+def _slo_base_runs(scale, seed, n_gcs, n_tenants, policies, profiles_cycle):
+    # The query schedule derives from the hardware runs whatever the
+    # policies; only the software policy reads the software runs.
+    collectors = ("hw", "sw") if "software" in policies else ("hw",)
+    return _roster_base_runs(scale, seed, n_gcs, (n_tenants,), collectors,
+                             profiles_cycle)
+
+
+def _resilience_base_runs(scale, seed, n_gcs, n_tenants, profiles_cycle,
+                          rosters):
+    from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS, FleetFaultSpec
+
+    # An empty fault spec is the fault-free run, which never reads the
+    # software fallback's runs.
+    armed = any(FleetFaultSpec.parse(spec) for _label, spec in
+                (rosters if rosters is not None
+                 else DEFAULT_RESILIENCE_ROSTERS))
+    return _roster_base_runs(scale, seed, n_gcs, (n_tenants,),
+                             ("hw", "sw") if armed else ("hw",),
+                             profiles_cycle)
+
+
+def fleet_base_runs(exp_id: str, kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
+    """The fleet base runs one cell of ``exp_id`` reads, in a fixed order.
+
+    Keys are ``(benchmark, collector, scale, seed, n_gcs)``
+    (:data:`repro.fleet.timeline.BaseRunKey`); empty for a figure that
+    is not a fleet figure. The fleet figures read their base runs only
+    through a :class:`~repro.fleet.timeline.BaseRuns` of this list, and
+    the worker pool simulates the list's missing entries ahead of the
+    cell, so the two read one list. Raises on kwargs the figure itself
+    would reject.
+    """
+    import inspect
+
+    if exp_id not in _FLEET_BASE_RUNS:
+        return ()
+    figure, reads = _FLEET_BASE_RUNS[exp_id]
+    bound = inspect.signature(figure).bind(**kwargs)
+    bound.apply_defaults()
+    return reads(**{name: bound.arguments[name]
+                    for name in inspect.signature(reads).parameters})
+
+
+_FLEET_BASE_RUNS = {
+    "fleet_slo": (fleet_slo, _slo_base_runs),
+    "fleet_lbo": (fleet_lbo, _roster_base_runs),
+    "fleet_resilience": (fleet_resilience, _resilience_base_runs),
+}
 
 
 #: Registry used by EXPERIMENTS.md generation and the paper claims table.

@@ -17,6 +17,18 @@
   suite index and axis value, so the document and the digests are
   independent of scheduling. ``REPRO_HEAP_CACHE`` shares heap builds
   across workers.
+* **fleet base-run pre-phase** (jobs>1 with an enabled sim store): the
+  distinct mutator base runs the fleet cells read
+  (:func:`~repro.harness.experiments.fleet_base_runs`) that the store
+  lacks are queued first, one pool task each, and a fleet cell is
+  dispatched only once its own have landed, so it reads them from the
+  store instead of simulating them beside its siblings; other cells fill
+  idle workers meanwhile. It is an optimization, never a dependency:
+  with the store disabled or bypassed (an armed ``REPRO_HWFAULTS``), at
+  jobs=1, or with every entry present nothing is queued, and a base-run
+  task that raises, crashes or times out is dropped without a retry —
+  no figure's attempts move and its cells simulate the base run
+  themselves. ``REPRO_FAULTS`` never matches a base-run task.
 
 Fault tolerance (all opt-in; a fault-free run is byte-identical to the
 pre-retry pipeline), applied to each cell on its own:
@@ -68,7 +80,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.harness import faults, simcache
 from repro.harness.runners import attempt_stats
@@ -108,8 +120,12 @@ class _Entry:
     #: whole.
     spec: Any = None
     cells: List["_TaskState"] = field(default_factory=list)
-    #: monotonic time its first cell was dispatched to a worker.
+    #: monotonic time its first cell, or a base run credited to it, was
+    #: dispatched to a worker.
     started: Optional[float] = None
+    #: fleet base runs simulated ahead of the cells, credited to the
+    #: first entry that reads each (``FigureRun.base_runs_ahead``).
+    base_runs_ahead: int = 0
 
 
 @dataclass(eq=False)
@@ -126,6 +142,26 @@ class _TaskState:
     not_before: float = 0.0
     #: ``(result, (hits, misses))`` once a sharded cell has landed.
     output: Any = None
+    #: pre-phase base runs still in flight or queued; the cell is not
+    #: dispatched before they have landed or been dropped.
+    waits_on: Set["_BaseRunTask"] = field(default_factory=set)
+
+
+@dataclass(eq=False)
+class _BaseRunTask:
+    """One fleet base run the pool simulates ahead of the cells reading it.
+
+    Never retried and never charged to a figure: a failed one is dropped
+    and its cells simulate the base run themselves.
+    """
+
+    key: Tuple[Any, ...]
+    #: the entry credited with it.
+    credit: _Entry
+    cells: List[_TaskState] = field(default_factory=list)
+    #: always ready: it waits for nothing and never backs off.
+    waits_on = frozenset()
+    not_before = 0.0
 
 
 def _pool_context():
@@ -150,17 +186,26 @@ def _stats_delta(before: Dict[str, float],
     return out
 
 
+def _simulate_base_run(key: Tuple[Any, ...]) -> None:
+    """A pre-phase task: one fleet base run, into the sim store."""
+    from repro.fleet.timeline import base_run
+
+    base_run(*key)
+
+
 def _pool_worker_main(conn) -> None:
     """Persistent worker: loop tasks from a duplex pipe until the sentinel.
 
     Referenced as a module global (not a closure) so it pickles under
     ``spawn`` and inherits monkeypatched ``run_entry`` under ``fork``.
-    ``None`` is the stop sentinel; a task is ``(index, exp_id, kwargs,
-    whole, fault, hang_seconds)``, the fault resolved by the parent for
-    this attempt (``None`` when none matches). A whole entry replies with
-    its :class:`FigureRun`; a sharded cell with ``(result, (hits,
-    misses))`` for the parent's merge, ``extras`` stripped (they can
-    hold unpicklable simulation objects and feed no table or digest).
+    ``None`` is the stop sentinel; a task is ``(mode, args, fault,
+    hang_seconds)``, the fault resolved by the parent for this attempt
+    (``None`` when none matches). An ``"entry"`` (``args`` = index,
+    exp_id, kwargs) replies with its :class:`FigureRun`; a ``"cell"``
+    (exp_id, kwargs) with ``(result, (hits, misses))`` for the parent's
+    merge, ``extras`` stripped (they can hold unpicklable simulation
+    objects and feed no table or digest); a ``"base-run"`` (its key)
+    with ``None`` once the base run is in the store.
     """
     try:
         while True:
@@ -170,17 +215,18 @@ def _pool_worker_main(conn) -> None:
                 break
             if task is None:
                 break
-            index, exp_id, kwargs, whole, fault, hang_seconds = task
+            mode, args, fault, hang_seconds = task
             before = attempt_stats()
             try:
                 faults.execute(fault, hang_seconds)
-                if whole:
-                    out = run_entry(index, exp_id, kwargs)
-                else:
-                    result, accounting = simcache.run_experiment(
-                        exp_id, kwargs)
+                if mode == "entry":
+                    out = run_entry(*args)
+                elif mode == "cell":
+                    result, accounting = simcache.run_experiment(*args)
                     result.extras = {}
                     out = (result, accounting.as_tuple())
+                else:
+                    out = _simulate_base_run(args)
             except BaseException as exc:
                 try:
                     conn.send(("error", f"{type(exc).__name__}: {exc}",
@@ -377,22 +423,80 @@ class _PoolWorker:
         self.deadline: Optional[float] = None
 
 
-def _run_persistent_pool(states: List[_TaskState], jobs: int,
+def _plan_base_runs(states: List[_TaskState]) -> List[_BaseRunTask]:
+    """The pre-phase: fleet base runs to simulate ahead of their cells.
+
+    One task per distinct base run the cells read (per
+    :func:`~repro.harness.experiments.fleet_base_runs`) that is not in
+    the sim store yet; each cell waits for its own. Nothing is planned
+    with the store disabled or bypassed (an armed ``REPRO_HWFAULTS``),
+    when a cell could not read what a worker stored.
+    """
+    from repro.fleet.timeline import base_run_stored
+    from repro.harness.diskcache import sim_store
+    from repro.harness.experiments import fleet_base_runs
+
+    if sim_store().directory is None:
+        return []
+    tasks: Dict[Tuple[Any, ...], _BaseRunTask] = {}
+    stored: Set[Tuple[Any, ...]] = set()
+    for state in states:
+        try:
+            keys = fleet_base_runs(state.entry.exp_id, state.kwargs)
+        except (TypeError, ValueError):
+            continue  # the cell itself reports its bad kwargs
+        for key in keys:
+            if key in stored:
+                continue
+            task = tasks.get(key)
+            if task is None:
+                if base_run_stored(key):
+                    stored.add(key)
+                    continue
+                task = tasks[key] = _BaseRunTask(key, state.entry)
+            task.cells.append(state)
+            state.waits_on.add(task)
+    return list(tasks.values())
+
+
+def _task_message(state, plan: Optional[faults.FaultPlan],
+                  hang_seconds: float) -> Tuple[Any, ...]:
+    """What a worker receives for one attempt (see
+    :func:`_pool_worker_main`). Base runs never match a fault."""
+    if isinstance(state, _BaseRunTask):
+        return ("base-run", state.key, None, hang_seconds)
+    entry = state.entry
+    fault = (plan.match(entry.exp_id, state.attempts + 1)
+             if plan is not None else None)
+    if entry.spec is None:
+        return ("entry", (entry.index, entry.exp_id, state.kwargs), fault,
+                hang_seconds)
+    return ("cell", (entry.exp_id, state.kwargs), fault, hang_seconds)
+
+
+def _run_persistent_pool(ahead: List[_BaseRunTask],
+                         states: List[_TaskState], jobs: int,
                          sched: _Scheduler, plan: Optional[faults.FaultPlan],
                          timeout: Optional[float]) -> None:
     """jobs>1: long-lived workers over duplex pipes.
 
-    Dispatch keeps one cell in flight per worker, so a death (pipe EOF)
-    or a blown deadline still attributes to exactly one cell; the dead
-    worker is replaced and the cell goes through the normal retry
-    accounting (a failed entry's pending cells are dropped). Workers are
-    told to stop (``None`` sentinel) as the queue drains.
+    Dispatch keeps one task in flight per worker, so a death (pipe EOF)
+    or a blown deadline still attributes to exactly one task; the dead
+    worker is replaced and a cell goes through the normal retry
+    accounting (a failed entry's pending cells are dropped). The
+    ``ahead`` base runs are queued first; a cell is dispatched once the
+    base runs it waits for have landed or been dropped, and other cells
+    fill idle workers meanwhile. Workers are told to stop (``None``
+    sentinel) as the queue drains.
     """
     ctx = _pool_context()
     hang_seconds = (plan.hang_seconds if plan is not None
                     else faults.DEFAULT_HANG_SECONDS)
-    pending = deque(states)
+    pending: deque = deque(ahead + states)
     workers: List[_PoolWorker] = []
+    if ahead:
+        sched.say(f"simulating {len(ahead)} fleet base run(s) ahead of "
+                  "their cells ...")
     sched.say(f"running {len(states)} cells on {jobs} persistent "
               "workers ...")
 
@@ -419,13 +523,23 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 _kill(worker.proc)
         worker.conn.close()
 
-    def fail(state: _TaskState, status: str, error: str,
-             wall: float) -> None:
-        """Requeue a failed cell, or drop its entry's pending cells."""
-        if sched.record_failure(state, status, error, wall) is not None:
+    def release(task: _BaseRunTask) -> None:
+        for cell in task.cells:
+            cell.waits_on.discard(task)
+
+    def fail(state, status: str, error: str, wall: float) -> None:
+        """Requeue a failed cell, or drop its entry's pending cells; drop
+        a failed base run and release its cells to simulate it."""
+        if isinstance(state, _BaseRunTask):
+            sched.say(f"  fleet base run {state.key} {status}: {error}; "
+                      "its cells simulate it themselves")
+            release(state)
+        elif sched.record_failure(state, status, error, wall) is not None:
             pending.append(state)
         else:
-            for sibling in [s for s in pending if s.entry is state.entry]:
+            for sibling in [s for s in pending
+                            if isinstance(s, _TaskState)
+                            and s.entry is state.entry]:
                 pending.remove(sibling)
 
     try:
@@ -441,19 +555,16 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 if worker.state is not None or not pending:
                     continue
                 ready = next((i for i, s in enumerate(pending)
-                              if s.not_before <= now), None)
+                              if s.not_before <= now and not s.waits_on),
+                             None)
                 if ready is None:
                     break
                 pending.rotate(-ready)
                 state = pending.popleft()
                 pending.rotate(ready)
-                entry = state.entry
-                fault = (plan.match(entry.exp_id, state.attempts + 1)
-                         if plan is not None else None)
                 try:
-                    worker.conn.send((entry.index, entry.exp_id,
-                                      state.kwargs, entry.spec is None,
-                                      fault, hang_seconds))
+                    worker.conn.send(
+                        _task_message(state, plan, hang_seconds))
                 except (OSError, ValueError):
                     # Died while idle: requeue, reap below via pipe EOF.
                     pending.appendleft(state)
@@ -462,8 +573,12 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 worker.started = time.monotonic()
                 worker.deadline = (worker.started + timeout
                                    if timeout else None)
-                if entry.started is None:
-                    entry.started = worker.started
+                # A sharded entry's elapsed time includes the base runs
+                # simulated ahead on its behalf.
+                owner = (state.credit if isinstance(state, _BaseRunTask)
+                         else state.entry)
+                if owner.started is None:
+                    owner.started = worker.started
 
             if not any(w.state is not None for w in workers):
                 if pending:
@@ -506,10 +621,13 @@ def _run_persistent_pool(states: List[_TaskState], jobs: int,
                 worker.state = None
                 worker.deadline = None
                 wall = time.monotonic() - worker.started
-                if msg[0] == "ok":
-                    sched.finish_ok(state, msg[1], wall, msg[2])
-                else:
+                if msg[0] != "ok":
                     fail(state, "error", msg[1], wall)
+                elif isinstance(state, _BaseRunTask):
+                    state.credit.base_runs_ahead += 1
+                    release(state)
+                else:
+                    sched.finish_ok(state, msg[1], wall, msg[2])
 
             # Reap workers that blew their deadline; their replacement is
             # spawned by the top-up at the head of the loop.
@@ -567,7 +685,12 @@ def _run_entries(entries: Sequence[Tuple[int, str, Dict[str, Any]]],
     if jobs == 1:
         _run_inline(states, sched, plan)
     else:
-        _run_persistent_pool(states, jobs, sched, plan, timeout)
+        _run_persistent_pool(_plan_base_runs(states), states, jobs, sched,
+                             plan, timeout)
+    for state in states:
+        run = sched.completed.get(state.entry.index)
+        if run is not None:
+            run.base_runs_ahead = state.entry.base_runs_ahead
     return _ordered(sched.completed)
 
 

@@ -112,6 +112,11 @@ class FigureRun:
     #: fingerprint identically.
     cache_hits: int = 0
     cache_misses: int = 0
+    #: fleet base runs the worker pool simulated ahead of this entry's
+    #: cells, each credited to the first entry that reads it (zero
+    #: without the pre-phase). Forensic only, like ``cache_misses``,
+    #: which counts cells and never base runs.
+    base_runs_ahead: int = 0
 
     def __post_init__(self) -> None:
         if not self.digest:
