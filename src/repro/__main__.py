@@ -43,11 +43,11 @@ import sys
 
 
 def _cmd_list(_args) -> int:
-    from repro.harness.experiments import ALL_EXPERIMENTS
+    from repro.harness.figures import FIGURES
     from repro.workloads.profiles import DACAPO_PROFILES
     print("experiments:")
-    for name, fn in ALL_EXPERIMENTS.items():
-        doc = (fn.__doc__ or "").strip().splitlines()[0]
+    for name, figure in FIGURES.items():
+        doc = (figure.runner.__doc__ or "").strip().splitlines()[0]
         print(f"  {name:16s} {doc}")
     print("\nbenchmark profiles:")
     for name, profile in DACAPO_PROFILES.items():
@@ -56,18 +56,28 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.harness.experiments import ALL_EXPERIMENTS
-    fn = ALL_EXPERIMENTS.get(args.experiment)
-    if fn is None:
+    from repro.harness.figures import FIGURES, bind
+    figure = FIGURES.get(args.experiment)
+    if figure is None:
         print(f"unknown experiment {args.experiment!r}; try `list`",
               file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    result = fn(**kwargs)
+    kwargs = {name: value for name, value in
+              (("scale", args.scale), ("seed", args.seed))
+              if value is not None}
+    # Bind each flag alone, so the refusal names the one the runner lacks.
+    for name, value in kwargs.items():
+        try:
+            bind(args.experiment, {name: value})
+        except TypeError:
+            print(f"{args.experiment} takes no --{name}", file=sys.stderr)
+            return 2
+    try:
+        result = figure.runner(**kwargs)
+    except ValueError as exc:
+        flags = " ".join(f"--{name} {value}" for name, value in kwargs.items())
+        print(f"{args.experiment} {flags}: {exc}", file=sys.stderr)
+        return 2
     print(result.render())
     return 0
 
@@ -80,7 +90,12 @@ def _cmd_compare(args) -> int:
         print(f"unknown benchmark {args.benchmark!r}; try `list`",
               file=sys.stderr)
         return 2
-    comp = run_gc_comparison(profile, scale=args.scale, seed=args.seed)
+    try:
+        comp = run_gc_comparison(profile, scale=args.scale, seed=args.seed)
+    except ValueError as exc:
+        print(f"{args.benchmark} --scale {args.scale} --seed {args.seed}: "
+              f"{exc}", file=sys.stderr)
+        return 2
     print(comp.summary())
     print(f"overall speedup: {comp.overall_speedup:.2f}x")
     return 0
@@ -375,7 +390,7 @@ def _cmd_fleet(args) -> int:
 
 
 def main(argv=None) -> int:
-    from repro.harness.sharding import SHARDABLE
+    from repro.harness.figures import FIGURES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -412,7 +427,9 @@ def main(argv=None) -> int:
                             "N times (exponential backoff)")
     all_parser.add_argument("--shard-figures", action="store_true",
                             help="also split shardable-axis figures ("
-                            + ", ".join(SHARDABLE) + ") into one task "
+                            + ", ".join(exp_id for exp_id, figure
+                                        in FIGURES.items() if figure.shard)
+                            + ") into one task "
                             "per axis value on the --jobs workers; "
                             "digests are unchanged")
     all_parser.add_argument("--keep-going", action="store_true",

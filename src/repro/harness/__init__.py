@@ -1,10 +1,11 @@
 """Experiment harness: one runner per figure in the paper's evaluation.
 
 Every function in :mod:`repro.harness.experiments` regenerates one
-table/figure of the paper (see DESIGN.md's experiment index); the claims
-table in ``tests/paper/test_claims.py`` checks their results against the
-paper's numbers, and ``EXPERIMENTS.md`` records paper-vs-measured for
-each.
+table/figure of the paper (see DESIGN.md's experiment index), and
+:data:`repro.harness.figures.FIGURES` holds one record per figure: its
+runner, suite kwargs, sharding, fleet base-run reads and the claim rows
+``tests/paper/test_claims.py`` checks against the paper's numbers.
+``EXPERIMENTS.md`` records paper-vs-measured for each.
 """
 
 from repro.harness.runners import (

@@ -3,9 +3,10 @@
 Each ``figNN`` function regenerates the corresponding table/figure: it runs
 the simulation at a configurable scale and returns an
 :class:`ExperimentResult` holding the same rows/series the paper plots,
-together with the paper's claim for side-by-side comparison. The paper
-claims table (``tests/paper/test_claims.py``) and the EXPERIMENTS.md
-generator (``python -m repro run-all``) both call these functions.
+together with the paper's claim for side-by-side comparison. Each runner
+has one record in :data:`repro.harness.figures.FIGURES`, through which the
+EXPERIMENTS.md generator (``python -m repro run-all``) and the paper
+claims test (``tests/paper/test_claims.py``) call it.
 
 Scales are chosen so a figure regenerates in seconds-to-minutes of wall
 time; the reproduced quantities are ratios and shapes, which are stable
@@ -15,7 +16,7 @@ across scale (see DESIGN.md §1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GCUnitConfig
 from repro.core.concurrent.refload import BARRIER_MODELS, BarrierKind
@@ -861,7 +862,8 @@ def fleet_slo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
     always derived from the full roster, so any subset reproduces its
     rows byte-identically.
     """
-    reads = fleet_base_runs("fleet_slo", locals())  # locals(): the args
+    reads = slo_base_runs(scale, seed, n_gcs, n_tenants, policies,
+                          profiles_cycle)
     from repro.fleet.report import SLO_HEADERS, fleet_summary_rows, \
         simulate_fleet
     from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
@@ -903,7 +905,8 @@ def fleet_lbo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
               collectors: Sequence[str] = ("sw", "hw", "concurrent"),
               profiles_cycle: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Lower-bound GC overhead per collector (Cai et al.), per fleet size."""
-    reads = fleet_base_runs("fleet_lbo", locals())  # locals(): the args
+    reads = roster_base_runs(scale, seed, n_gcs, fleet_sizes, collectors,
+                             profiles_cycle)
     from repro.fleet.lbo import LBO_HEADERS, fleet_lbo_rows
     from repro.fleet.spec import DEFAULT_PROFILES_CYCLE
     from repro.fleet.timeline import BaseRuns
@@ -952,7 +955,8 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
     whole fleet schedule from the spec, so any roster subset reproduces
     its row byte-identically.
     """
-    reads = fleet_base_runs("fleet_resilience", locals())  # locals(): args
+    reads = resilience_base_runs(scale, seed, n_gcs, n_tenants,
+                                 profiles_cycle, rosters)
     from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS
     from repro.fleet.report import RESILIENCE_HEADERS, fleet_resilience_row
     from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
@@ -993,11 +997,11 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
     )
 
 
-def _roster_base_runs(scale: float, seed: int, n_gcs: int,
-                      fleet_sizes: Sequence[int],
-                      collectors: Sequence[str],
-                      profiles_cycle: Optional[Sequence[str]]
-                      ) -> Tuple[Any, ...]:
+def roster_base_runs(scale: float, seed: int, n_gcs: int,
+                     fleet_sizes: Sequence[int],
+                     collectors: Sequence[str],
+                     profiles_cycle: Optional[Sequence[str]]
+                     ) -> Tuple[Any, ...]:
     """Each collector's base run of every profile in fleets of
     ``fleet_sizes`` — what ``fleet_lbo`` reads."""
     from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
@@ -1014,16 +1018,18 @@ def _roster_base_runs(scale: float, seed: int, n_gcs: int,
     return tuple(keys)
 
 
-def _slo_base_runs(scale, seed, n_gcs, n_tenants, policies, profiles_cycle):
+def slo_base_runs(scale, seed, n_gcs, n_tenants, policies, profiles_cycle):
+    """The base runs one ``fleet_slo`` cell reads."""
     # The query schedule derives from the hardware runs whatever the
     # policies; only the software policy reads the software runs.
     collectors = ("hw", "sw") if "software" in policies else ("hw",)
-    return _roster_base_runs(scale, seed, n_gcs, (n_tenants,), collectors,
-                             profiles_cycle)
+    return roster_base_runs(scale, seed, n_gcs, (n_tenants,), collectors,
+                            profiles_cycle)
 
 
-def _resilience_base_runs(scale, seed, n_gcs, n_tenants, profiles_cycle,
-                          rosters):
+def resilience_base_runs(scale, seed, n_gcs, n_tenants, profiles_cycle,
+                         rosters):
+    """The base runs one ``fleet_resilience`` cell reads."""
     from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS, FleetFaultSpec
 
     # An empty fault spec is the fault-free run, which never reads the
@@ -1031,62 +1037,6 @@ def _resilience_base_runs(scale, seed, n_gcs, n_tenants, profiles_cycle,
     armed = any(FleetFaultSpec.parse(spec) for _label, spec in
                 (rosters if rosters is not None
                  else DEFAULT_RESILIENCE_ROSTERS))
-    return _roster_base_runs(scale, seed, n_gcs, (n_tenants,),
-                             ("hw", "sw") if armed else ("hw",),
-                             profiles_cycle)
-
-
-def fleet_base_runs(exp_id: str, kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
-    """The fleet base runs one cell of ``exp_id`` reads, in a fixed order.
-
-    Keys are ``(benchmark, collector, scale, seed, n_gcs)``
-    (:data:`repro.fleet.timeline.BaseRunKey`); empty for a figure that
-    is not a fleet figure. The fleet figures read their base runs only
-    through a :class:`~repro.fleet.timeline.BaseRuns` of this list, and
-    the worker pool simulates the list's missing entries ahead of the
-    cell, so the two read one list. Raises on kwargs the figure itself
-    would reject.
-    """
-    import inspect
-
-    if exp_id not in _FLEET_BASE_RUNS:
-        return ()
-    figure, reads = _FLEET_BASE_RUNS[exp_id]
-    bound = inspect.signature(figure).bind(**kwargs)
-    bound.apply_defaults()
-    return reads(**{name: bound.arguments[name]
-                    for name in inspect.signature(reads).parameters})
-
-
-_FLEET_BASE_RUNS = {
-    "fleet_slo": (fleet_slo, _slo_base_runs),
-    "fleet_lbo": (fleet_lbo, _roster_base_runs),
-    "fleet_resilience": (fleet_resilience, _resilience_base_runs),
-}
-
-
-#: Registry used by EXPERIMENTS.md generation and the paper claims table.
-ALL_EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig01a": fig01a,
-    "fig01b": fig01b,
-    "conc_latency": conc_latency,
-    "fig15": fig15,
-    "fig16": fig16,
-    "fig17": fig17,
-    "fig18": fig18,
-    "fig19": fig19,
-    "fig20": fig20,
-    "fig21": fig21,
-    "fig22": fig22,
-    "fig23": fig23,
-    "abl_layout": abl_layout,
-    "abl_decoupling": abl_decoupling,
-    "abl_scheduler": abl_scheduler,
-    "abl_barriers": abl_barriers,
-    "abl_superpages": abl_superpages,
-    "abl_nonblocking_ptw": abl_nonblocking_ptw,
-    "abl_throttle": abl_throttle,
-    "fleet_slo": fleet_slo,
-    "fleet_lbo": fleet_lbo,
-    "fleet_resilience": fleet_resilience,
-}
+    return roster_base_runs(scale, seed, n_gcs, (n_tenants,),
+                            ("hw", "sw") if armed else ("hw",),
+                            profiles_cycle)

@@ -9,8 +9,9 @@
 * **jobs>1** fans *cells* out over ``jobs`` persistent worker processes
   (``fork`` where available, ``spawn`` otherwise), the only workers the
   harness starts. A cell is a whole entry or, with ``shard_figures``,
-  one axis value of a :data:`~repro.harness.sharding.SHARDABLE` entry
-  — the sim cache's cell. Each worker loops over cells from a duplex
+  one axis value of an entry whose figure has a ``ShardSpec``
+  (:func:`~repro.harness.figures.cells`) — the sim cache's cell. Each
+  worker loops over cells from a duplex
   pipe, one in flight at a time, amortizing startup (and its in-process
   heap cache) across them; an entry's cells are refolded with its
   ``ShardSpec`` merge when the last one lands. Results are ordered by
@@ -19,7 +20,7 @@
   across workers.
 * **fleet base-run pre-phase** (jobs>1 with an enabled sim store): the
   distinct mutator base runs the fleet cells read
-  (:func:`~repro.harness.experiments.fleet_base_runs`) that the store
+  (:func:`~repro.harness.figures.fleet_base_runs`) that the store
   lacks are queued first, one pool task each, and a fleet cell is
   dispatched only once its own have landed, so it reads them from the
   store instead of simulating them beside its siblings; other cells fill
@@ -427,14 +428,14 @@ def _plan_base_runs(states: List[_TaskState]) -> List[_BaseRunTask]:
     """The pre-phase: fleet base runs to simulate ahead of their cells.
 
     One task per distinct base run the cells read (per
-    :func:`~repro.harness.experiments.fleet_base_runs`) that is not in
+    :func:`~repro.harness.figures.fleet_base_runs`) that is not in
     the sim store yet; each cell waits for its own. Nothing is planned
     with the store disabled or bypassed (an armed ``REPRO_HWFAULTS``),
     when a cell could not read what a worker stored.
     """
     from repro.fleet.timeline import base_run_stored
     from repro.harness.diskcache import sim_store
-    from repro.harness.experiments import fleet_base_runs
+    from repro.harness.figures import fleet_base_runs
 
     if sim_store().directory is None:
         return []
@@ -661,23 +662,20 @@ def _run_entries(entries: Sequence[Tuple[int, str, Dict[str, Any]]],
                  shard_figures: bool = False) -> List[FigureRun]:
     """Run ``(index, exp_id, kwargs)`` entries as cells; results by index.
 
-    With ``shard_figures`` and ``jobs > 1``, an entry registered in
-    ``SHARDABLE`` with two or more axis values expands into one cell per
-    value; every other entry is one cell. A lone cell runs inline.
+    With ``shard_figures`` and ``jobs > 1``, an entry whose figure has
+    two or more axis values expands into one cell per value; every other
+    entry is one cell. A lone cell runs inline.
     """
-    from repro.harness.sharding import SHARDABLE, axis_values
+    from repro.harness.figures import FIGURES, cells
 
     states: List[_TaskState] = []
     for index, exp_id, kwargs in entries:
         entry = _Entry(index=index, exp_id=exp_id, kwargs=kwargs)
-        values = (axis_values(exp_id, kwargs)
-                  if shard_figures and jobs > 1 else None)
-        if values is not None and len(values) >= 2:
-            entry.spec = SHARDABLE[exp_id]
-            entry.cells = [
-                _TaskState(entry, {**kwargs, entry.spec.axis: [value]},
-                           value)
-                for value in values]
+        parts = cells(exp_id, kwargs) if shard_figures and jobs > 1 else []
+        if len(parts) >= 2:
+            entry.spec = FIGURES[exp_id].shard
+            entry.cells = [_TaskState(entry, cell_kwargs, value)
+                           for value, cell_kwargs in parts]
         else:
             entry.cells = [_TaskState(entry, kwargs)]
         states.extend(entry.cells)

@@ -6,8 +6,9 @@ suite's critical path are embarrassingly parallel *inside*: they iterate
 independent units of work along one axis — benchmarks (fig01a, fig15,
 fig16, fig17, fig20), queue sizes (fig19), mark-bit-cache sizes (fig21),
 cache modes (fig18), or the fleet figures' tenants, fleet sizes and fault
-rosters. :data:`SHARDABLE` names each figure's axis, its default values,
-and the merge that refolds per-value
+rosters. Such a figure's record in :data:`repro.harness.figures.FIGURES`
+carries a :class:`ShardSpec`: the axis, and the merge (one of the
+families below) that refolds per-value
 :class:`~repro.harness.experiments.ExperimentResult` rows into a table —
 and therefore a determinism digest — byte-identical to the unsharded run.
 
@@ -35,13 +36,13 @@ every sharded run recomputes them, including one served from the sim cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
-from repro.harness.suite import FigureRun
-from repro.workloads.profiles import BENCHMARK_ORDER
+if TYPE_CHECKING:
+    from repro.harness.suite import FigureRun
 
 
-def _concat_merge(results: List[Any]) -> Any:
+def concat_merge(results: List[Any]) -> Any:
     """Merge cell results whose rows simply concatenate (no summary row)."""
     merged = replace(results[0])
     merged.rows = [row for result in results for row in result.rows]
@@ -49,7 +50,7 @@ def _concat_merge(results: List[Any]) -> Any:
     return merged
 
 
-def _geomean_tail_merge(*speedup_cols: int) -> Callable[[List[Any]], Any]:
+def geomean_tail_merge(*speedup_cols: int) -> Callable[[List[Any]], Any]:
     """Merge for figures ending in a geomean row over ``speedup_cols``.
 
     Each cell computed its own trailing geomean over its slice; drop
@@ -72,7 +73,7 @@ def _geomean_tail_merge(*speedup_cols: int) -> Callable[[List[Any]], Any]:
     return merge
 
 
-def _column_refold_merge(results: List[Any]) -> Any:
+def column_refold_merge(results: List[Any]) -> Any:
     """Merge for figures whose axis values occupy column *groups* (fig18).
 
     A cell that ran only one axis value leaves the other values' columns
@@ -98,7 +99,7 @@ def _column_refold_merge(results: List[Any]) -> Any:
     return merged
 
 
-def _fleet_slo_merge(results: List[Any]) -> Any:
+def fleet_slo_merge(results: List[Any]) -> Any:
     """Merge for ``fleet_slo``: concat tenant rows, refold policy summaries.
 
     Each cell replayed a slice of the tenant axis and appended
@@ -120,79 +121,16 @@ def _fleet_slo_merge(results: List[Any]) -> Any:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """How one experiment splits: the kwarg axis, its default, the merge.
+    """How one figure splits: the kwarg axis and the merge.
 
-    ``axis`` names the keyword argument whose values are independent units
-    of work; ``default`` maps the entry's kwargs to the axis values the
-    experiment function runs when the kwargs leave the axis implicit (a
-    function because fleet_slo's tenant axis tracks ``n_tenants``);
-    ``merge`` refolds per-cell results into the unsharded table.
+    ``axis`` names the runner's keyword argument whose values are
+    independent units of work (its values come from binding the kwargs to
+    the runner, :func:`repro.harness.figures.axis_values`); ``merge``
+    refolds per-cell results into the unsharded table.
     """
 
     axis: str
     merge: Callable[[List[Any]], Any]
-    default: Callable[[Dict[str, Any]], Tuple[Any, ...]]
-
-
-def _fixed(*values: Any) -> Callable[[Dict[str, Any]], Tuple[Any, ...]]:
-    """A default that does not depend on the other kwargs."""
-    return lambda kwargs: values
-
-
-def _resilience_rosters(kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
-    """Late import: sharding must stay importable without the fleet pkg."""
-    from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS
-
-    return DEFAULT_RESILIENCE_ROSTERS
-
-
-#: Experiments with an axis of independent units of work, and how their
-#: rows refold. Every default mirrors the experiment function's own:
-#: benchmark-axis figures run the full DaCapo order. fig15's table ends
-#: in a geomean row (speedups in columns 3 and 6), fig17's in one over
-#: column 1; fig18 splits by cache mode into column groups; fleet_slo
-#: refolds its policy summaries; the rest concatenate rows directly.
-SHARDABLE: Dict[str, ShardSpec] = {
-    "fig01a": ShardSpec(axis="benchmarks", merge=_concat_merge,
-                        default=_fixed(*BENCHMARK_ORDER)),
-    "fig15": ShardSpec(axis="benchmarks", merge=_geomean_tail_merge(3, 6),
-                       default=_fixed(*BENCHMARK_ORDER)),
-    "fig16": ShardSpec(axis="benchmarks", merge=_concat_merge,
-                       default=_fixed("avrora")),
-    "fig17": ShardSpec(axis="benchmarks", merge=_geomean_tail_merge(1),
-                       default=_fixed(*BENCHMARK_ORDER)),
-    "fig18": ShardSpec(axis="cache_modes", merge=_column_refold_merge,
-                       default=_fixed("shared", "partitioned")),
-    "fig19": ShardSpec(axis="queue_entries", merge=_concat_merge,
-                       default=_fixed(128, 512, 2048, 16384)),
-    "fig20": ShardSpec(axis="benchmarks", merge=_concat_merge,
-                       default=_fixed(*BENCHMARK_ORDER)),
-    "fig21": ShardSpec(axis="cache_sizes", merge=_concat_merge,
-                       default=_fixed(0, 16, 64, 105, 128, 256)),
-    # The fleet figures: per-tenant / per-fleet-size cells.
-    "fleet_slo": ShardSpec(
-        axis="tenants", merge=_fleet_slo_merge,
-        default=lambda kwargs: tuple(range(kwargs.get("n_tenants", 4)))),
-    "fleet_lbo": ShardSpec(axis="fleet_sizes", merge=_concat_merge,
-                           default=_fixed(2, 4)),
-    # One cell per fault roster; each cell rebuilds its whole fleet
-    # schedule from the spec, so rows concatenate in axis order.
-    "fleet_resilience": ShardSpec(axis="rosters", merge=_concat_merge,
-                                  default=_resilience_rosters),
-}
-
-
-def axis_values(exp_id: str, kwargs: Dict[str, Any]) -> Optional[List[Any]]:
-    """The axis values ``exp_id`` splits into cells, or ``None``.
-
-    Uses the spec's default (mirroring the experiment function's own)
-    when the kwargs leave the axis implicit.
-    """
-    spec = SHARDABLE.get(exp_id)
-    if spec is None:
-        return None
-    values = kwargs.get(spec.axis)
-    return list(spec.default(kwargs) if values is None else values)
 
 
 def run_entry_sharded(index: int, exp_id: str, kwargs: Dict[str, Any],

@@ -7,11 +7,12 @@ repo's central invariant, enforced by the digest gates — so they are
 cacheable by content address: hash everything the output depends on, and
 an unchanged cell is a disk read instead of a simulation.
 
-A **cell** is the unit of caching. For figures registered in
-:data:`repro.harness.sharding.SHARDABLE`, a cell is one axis value (one
-benchmark of fig15, one queue size of fig19, ...): the experiment is
-invoked once per value and the per-cell results are refolded with the
-figure's own ``ShardSpec`` merge — the identical merge the sharded runner
+A **cell** is the unit of caching. For a figure whose record in
+:data:`repro.harness.figures.FIGURES` has a ``ShardSpec``, a cell is one
+axis value (one benchmark of fig15, one queue size of fig19, ...): the
+experiment is invoked once per value
+(:func:`repro.harness.figures.cells`) and the per-cell results are
+refolded with the figure's own merge — the identical merge the sharded runner
 uses, so cache-cold, cache-warm, sharded, and inline runs all render the
 same bytes, and a kwargs tweak or code change only re-simulates the cells
 it actually invalidates. Non-shardable figures are cached whole-figure.
@@ -43,7 +44,7 @@ When ``REPRO_HWFAULTS`` is armed the cache is bypassed entirely
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 # ``code_fingerprint`` is re-exported: result files name the code by it.
 from repro.harness.diskcache import (
@@ -101,11 +102,11 @@ def _result_from_payload(payload: Dict[str, Any]) -> Any:
 def _cached_call(store: Store, exp_id: str, kwargs: Dict[str, Any],
                  acct: CellAccounting) -> Any:
     """One cell: serve from the store, or simulate and persist."""
-    from repro.harness.experiments import ALL_EXPERIMENTS
+    from repro.harness.figures import FIGURES
 
     result, hit = store.get_or_compute(
         CELL_KIND, cell_inputs(exp_id, kwargs),
-        lambda: ALL_EXPERIMENTS[exp_id](**kwargs),
+        lambda: FIGURES[exp_id].runner(**kwargs),
         encode=lambda r: encode_json(_result_to_payload(r)),
         decode=lambda blob: _result_from_payload(decode_json(blob)))
     if hit:
@@ -124,23 +125,15 @@ def run_experiment(exp_id: str, kwargs: Dict[str, Any]
     figures decompose into per-axis-value cells refolded by their
     ``ShardSpec`` merge; others are cached as one whole-figure cell.
     """
-    from repro.harness.experiments import ALL_EXPERIMENTS
+    from repro.harness.figures import FIGURES, cells
 
     acct = CellAccounting()
     store = sim_store()
+    figure = FIGURES[exp_id]
     if store.directory is None:
-        return ALL_EXPERIMENTS[exp_id](**kwargs), acct
-
-    from repro.harness.sharding import SHARDABLE, axis_values
-
-    spec = SHARDABLE.get(exp_id)
-    values = axis_values(exp_id, kwargs)
-    if spec is None or not values:
+        return figure.runner(**kwargs), acct
+    parts = cells(exp_id, kwargs)
+    if not parts:
         return _cached_call(store, exp_id, dict(kwargs), acct), acct
-
-    cells: List[Any] = []
-    for value in values:
-        cell_kwargs = dict(kwargs)
-        cell_kwargs[spec.axis] = [value]
-        cells.append(_cached_call(store, exp_id, cell_kwargs, acct))
-    return spec.merge(cells), acct
+    return figure.shard.merge([_cached_call(store, exp_id, cell_kwargs, acct)
+                               for _value, cell_kwargs in parts]), acct

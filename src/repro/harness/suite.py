@@ -1,9 +1,10 @@
 """The full figure suite: which experiments to run, at which scales.
 
-This is the single source of truth consumed by the parallel runner
+:data:`SUITE` lists each figure of :data:`repro.harness.figures.FIGURES`
+with the kwargs ``run-all`` runs it at; the parallel runner
 (:mod:`repro.harness.parallel`) and the ``python -m repro run-all`` CLI,
-which regenerates EXPERIMENTS.md. Experiments are referenced by
-name (resolved through ``ALL_EXPERIMENTS``) so suite entries stay picklable
+which regenerates EXPERIMENTS.md, consume it. Experiments are referenced
+by id (resolved through ``FIGURES``) so suite entries stay picklable
 across worker processes.
 """
 
@@ -14,33 +15,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: (experiment id, kwargs) — scales chosen for ~minutes total.
+from repro.harness.figures import FIGURES
+
+#: (experiment id, ``run-all`` kwargs) per figure, in report order; read
+#: at call time by :func:`select`, so assigning ``SUITE[:]`` runs a subset.
 SUITE: List[Tuple[str, Dict[str, Any]]] = [
-    ("fig01a", dict(scale=0.02, n_gcs=2)),
-    ("fig01b", dict(scale=0.02, n_gcs=3)),
-    ("conc_latency", dict(scale=0.02, n_gcs=3)),
-    ("fig15", dict(scale=0.05)),
-    # Two benchmarks so the figure has a benchmark axis to shard/cache.
-    ("fig16", dict(scale=0.04, benchmarks=["avrora", "luindex"])),
-    ("fig17", dict(scale=0.04)),
-    ("fig18", dict(scale=0.03)),
-    ("fig19", dict(scale=0.03)),
-    ("fig20", dict(scale=0.025)),
-    ("fig21", dict(scale=0.04)),
-    ("fig22", dict()),
-    ("fig23", dict(scale=0.05)),
-    ("abl_layout", dict(scale=0.03)),
-    ("abl_decoupling", dict(scale=0.03)),
-    ("abl_scheduler", dict(scale=0.03)),
-    ("abl_barriers", dict()),
-    ("abl_superpages", dict(scale=0.03)),
-    ("abl_nonblocking_ptw", dict(scale=0.03)),
-    ("abl_throttle", dict(scale=0.03)),
-    ("fleet_slo", dict(scale=0.015, n_gcs=2, n_queries=3000, warmup=150)),
-    ("fleet_lbo", dict(scale=0.015, n_gcs=2)),
-    ("fleet_resilience", dict(scale=0.015, n_gcs=2, n_queries=2000,
-                              warmup=100, n_units=3)),
-]
+    (exp_id, dict(figure.kwargs)) for exp_id, figure in FIGURES.items()]
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 

@@ -20,38 +20,30 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine.trace import TraceBus, TraceMetrics, trace_digest
 from repro.workloads.profiles import DACAPO_PROFILES, BenchmarkProfile
 
-#: Figure ids mapped to (profile, suite scale) — the workload each figure's
-#: timeline is most representative of. Profiles can also be named directly.
-TRACE_TARGETS: Dict[str, Tuple[str, float]] = {
-    "fig15": ("avrora", 0.05),
-    "fig16": ("avrora", 0.04),
-    "fig17": ("lusearch", 0.04),
-    "fig18": ("pmd", 0.03),
-    "fig19": ("xalan", 0.03),
-    "fig20": ("sunflow", 0.025),
-    "fig21": ("luindex", 0.04),
-}
-
 #: Default build scale when a profile is named directly.
 DEFAULT_TRACE_SCALE = 0.02
 
 
 def resolve_target(target: str,
                    scale: Optional[float] = None) -> Tuple[BenchmarkProfile, float]:
-    """Map a CLI target (profile name or figure id) to (profile, scale)."""
+    """Map a CLI target (profile name or figure id) to (profile, scale);
+    a figure id maps to its record's ``trace`` profile and suite scale."""
+    from repro.harness.figures import FIGURES
+
     if target in DACAPO_PROFILES:
         return DACAPO_PROFILES[target], (
             scale if scale is not None else DEFAULT_TRACE_SCALE
         )
-    if target in TRACE_TARGETS:
-        name, suite_scale = TRACE_TARGETS[target]
-        return DACAPO_PROFILES[name], (
-            scale if scale is not None else suite_scale
+    traced = {exp_id: figure for exp_id, figure in FIGURES.items()
+              if figure.trace is not None}
+    if target in traced:
+        return DACAPO_PROFILES[traced[target].trace], (
+            scale if scale is not None else traced[target].kwargs["scale"]
         )
     raise KeyError(
         f"unknown trace target {target!r}; expected a profile "
         f"({', '.join(sorted(DACAPO_PROFILES))}) or a figure id "
-        f"({', '.join(sorted(TRACE_TARGETS))})"
+        f"({', '.join(sorted(traced))})"
     )
 
 

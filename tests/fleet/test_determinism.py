@@ -10,7 +10,8 @@ import pytest
 
 from repro.fleet.timeline import reset_base_cache
 from repro.harness import heapcache
-from repro.harness.sharding import axis_values, run_entry_sharded
+from repro.harness.figures import axis_values
+from repro.harness.sharding import run_entry_sharded
 from repro.harness.suite import run_entry
 
 SLO_KWARGS = dict(scale=0.008, n_tenants=3, n_queries=600, warmup=60,

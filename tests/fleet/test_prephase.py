@@ -20,7 +20,7 @@ import repro.fleet.timeline as timeline
 import repro.harness.parallel as parallel
 import repro.harness.suite as suite_mod
 from repro.harness import faults, heapcache
-from repro.harness.experiments import ALL_EXPERIMENTS, fleet_base_runs
+from repro.harness.figures import FIGURES, fleet_base_runs
 from repro.harness.parallel import digests, run_suite
 from repro.harness.suite import run_entry
 from repro.workloads.mutator import MutatorModel
@@ -106,7 +106,7 @@ class TestOneList:
             return _real(kind, finish, *key, **kw)
 
         monkeypatch.setattr(timeline, "_stored", recording)
-        ALL_EXPERIMENTS[exp_id](**kwargs)
+        FIGURES[exp_id].runner(**kwargs)
         read = [tuple(key) for kind, *key in misses
                 if kind == timeline.BASE_RUN_KIND]
         listed = fleet_base_runs(exp_id, kwargs)

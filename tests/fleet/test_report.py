@@ -27,7 +27,7 @@ class TestSummaryRefold:
     @settings(deadline=None, max_examples=50)
     @given(data=st.data())
     def test_per_tenant_refold_matches_direct(self, data):
-        """The _fleet_slo_merge path: summaries recomputed from the
+        """The fleet_slo_merge path: summaries recomputed from the
         tenant rows of per-tenant cells, concatenated in axis order,
         equal the direct ones."""
         n_tenants = data.draw(st.integers(1, 6))
@@ -43,7 +43,7 @@ class TestSummaryRefold:
                 rows.append(tenant_row(tenant, policy, list(values),
                                        blank=blank))
         from repro.harness.experiments import ExperimentResult
-        from repro.harness.sharding import _fleet_slo_merge
+        from repro.harness.sharding import fleet_slo_merge
 
         def result_for(tenant_rows):
             # Every fleet_slo run appends its own policy summaries.
@@ -54,7 +54,7 @@ class TestSummaryRefold:
 
         cells = [result_for([r for r in rows if r[0] == tenant])
                  for tenant in range(n_tenants)]
-        assert _fleet_slo_merge(cells).rows == result_for(rows).rows
+        assert fleet_slo_merge(cells).rows == result_for(rows).rows
 
     def test_all_blank_latency_stays_blank(self):
         rows = [tenant_row(0, "dedicated",

@@ -52,8 +52,12 @@ class TestCLI:
         # --scale 0 is refused by name, as `run --scale 0` is, instead of
         # silently running the default scale.
         monkeypatch.undo()
-        with pytest.raises(ValueError, match="scale 0.0 leaves only 0"):
-            main(["compare", "avrora", "--scale", "0"])
+        capsys.readouterr()
+        assert main(["compare", "avrora", "--scale", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("avrora --scale 0.0 ")
+        assert "scale 0.0 leaves only 0" in err
+        assert len(err.splitlines()) == 1
 
     def test_area(self, capsys):
         assert main(["area"]) == 0
@@ -61,6 +65,22 @@ class TestCLI:
 
     def test_run_with_scale_and_seed(self, capsys):
         assert main(["run", "abl_barriers"]) == 0
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "fig22", "--scale", "0.1"], "--scale"),
+        (["run", "abl_barriers", "--seed", "3"], "--seed"),
+    ])
+    def test_run_refuses_a_flag_the_figure_does_not_take(self, capsys, argv,
+                                                        flag):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"{argv[1]} takes no {flag}\n"
+
+    def test_run_refuses_a_bad_scale_by_name(self, capsys):
+        assert main(["run", "fig15", "--scale", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fig15 --scale -1.0: scale -1.0 leaves only")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("flag,value,shown", [
         ("--timeout", "-1", "-1"),

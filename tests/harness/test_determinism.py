@@ -13,13 +13,15 @@ every request, queue sample, and phase edge, so its sha256 digest equality
 is a per-event assertion of identical execution.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.engine.simulator import Simulator
 from repro.harness import heapcache
 from repro.harness.parallel import digests, run_suite
 from repro.harness.runners import build_heap, run_hardware, run_software
-from repro.harness.suite import run_entry
+from repro.harness.suite import SUITE, run_entry
 from repro.harness.tracing import trace_collection
 from repro.workloads.profiles import DACAPO_PROFILES
 
@@ -112,14 +114,25 @@ class TestTraceDeterminism:
         assert StatsRegistry().trace is None
 
 
+#: ``run-all --jobs 1 --digests`` over the whole suite, one line per
+#: figure; CI diffs a sharded ``--jobs 2`` run against it.
+PINNED = dict(line.split() for line in Path(__file__).with_name(
+    "suite_digests.txt").read_text().splitlines())
+
+
 class TestParallelDeterminism:
     def test_jobs_merge_is_deterministic(self):
-        """--jobs 1 and --jobs 4 must yield identical per-figure digests."""
+        """--jobs 1 and --jobs 4 must yield identical per-figure digests,
+        the ones pinned for the suite."""
         only = ["fig22", "abl_barriers"]  # static models: instant
         serial = run_suite(jobs=1, only=only)
         fanned = run_suite(jobs=4, only=only)
         assert [r.exp_id for r in serial] == [r.exp_id for r in fanned]
         assert digests(serial) == digests(fanned)
+        assert digests(serial) == {exp_id: PINNED[exp_id] for exp_id in only}
+
+    def test_every_suite_figure_is_pinned(self):
+        assert list(PINNED) == [exp_id for exp_id, _ in SUITE]
 
     @pytest.mark.slow
     def test_worker_process_matches_inline(self):

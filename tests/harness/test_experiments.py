@@ -117,10 +117,21 @@ class TestAblations:
         assert by_label["FR-FCFS/16"] > by_label["FIFO/8"]
 
     def test_registry_complete(self):
-        assert set(E.ALL_EXPERIMENTS) >= {
-            "fig01a", "fig01b", "fig15", "fig16", "fig17", "fig18",
-            "fig19", "fig20", "fig21", "fig22", "fig23",
-        }
+        """Every runner in ``experiments`` is the runner of the record
+        named after it, so none is written and never run, and no record
+        points at a neighbour's runner."""
+        import inspect
+
+        from repro.harness.figures import FIGURES
+
+        runners = {name for name, fn in vars(E).items()
+                   if inspect.isfunction(fn) and fn.__module__ == E.__name__
+                   and not name.startswith("_")
+                   and inspect.signature(fn).return_annotation
+                   in ("ExperimentResult", E.ExperimentResult)}
+        assert runners == set(FIGURES)
+        for exp_id, figure in FIGURES.items():
+            assert figure.runner is getattr(E, exp_id)
 
 
 class TestReporting:

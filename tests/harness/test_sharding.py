@@ -15,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness import heapcache
-from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult
+from repro.harness.experiments import ExperimentResult
+from repro.harness.figures import FIGURES, axis_values
 from repro.harness.sharding import (
-    SHARDABLE,
-    _column_refold_merge,
-    _concat_merge,
-    _geomean_tail_merge,
-    axis_values,
+    column_refold_merge,
+    concat_merge,
+    geomean_tail_merge,
     run_entry_sharded,
 )
 from repro.harness.suite import run_entry
@@ -39,9 +38,12 @@ def _fresh_cache(monkeypatch):
 
 
 def _signature_default(exp_id):
-    axis = SHARDABLE[exp_id].axis
-    return inspect.signature(
-        ALL_EXPERIMENTS[exp_id]).parameters[axis].default
+    """The runner's default for its axis; ``None`` also for an axis the
+    runner lacks, which ``test_shardable_registry_names_are_suite_entries``
+    reports."""
+    figure = FIGURES[exp_id]
+    param = inspect.signature(figure.runner).parameters.get(figure.shard.axis)
+    return None if param is None else param.default
 
 
 class TestAxisValues:
@@ -51,8 +53,11 @@ class TestAxisValues:
         assert axis_values("fig01b", {}) is None
 
     def test_every_new_figure_is_registered(self):
+        """The figures with an axis to split keep their shard spec."""
+        sharded = {exp_id for exp_id, figure in FIGURES.items()
+                   if figure.shard is not None}
         assert {"fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
-                "fleet_slo", "fleet_lbo"} <= set(SHARDABLE)
+                "fleet_slo", "fleet_lbo"} <= sharded
 
     def test_kwargs_aware_default(self):
         # fleet_slo's tenant axis tracks the n_tenants kwarg rather than
@@ -63,11 +68,12 @@ class TestAxisValues:
                                          "tenants": (0,)}) == [0]
 
     @pytest.mark.parametrize("exp_id", [
-        exp_id for exp_id in sorted(SHARDABLE)
-        if _signature_default(exp_id) is not None])
+        exp_id for exp_id in sorted(FIGURES)
+        if FIGURES[exp_id].shard is not None
+        and _signature_default(exp_id) is not None])
     def test_default_mirrors_the_experiment_function(self, exp_id):
-        """Where the experiment function spells its axis default out,
-        the spec's default is that same tuple."""
+        """Where the experiment function spells its axis default out, the
+        axis values without kwargs are that same tuple, in its order."""
         assert axis_values(exp_id, {}) == list(_signature_default(exp_id))
 
 
@@ -92,7 +98,7 @@ class TestMergeProperties:
         headers = ["bench", "value"]
         rows = [[f"b{i}", v] for i, v in enumerate(values)]
         full = _synthetic(headers, rows)
-        merged = _concat_merge([_synthetic(headers, [row]) for row in rows])
+        merged = concat_merge([_synthetic(headers, [row]) for row in rows])
         assert merged.rows == rows
         assert merged.render() == full.render()
         assert merged.extras == {}
@@ -103,7 +109,7 @@ class TestMergeProperties:
         from repro.engine.stats import geomean
 
         headers = ["bench", "mark", "sweep"]
-        merge = _geomean_tail_merge(1, 2)
+        merge = geomean_tail_merge(1, 2)
 
         def result_for(rows):
             # The unsharded figures fold a trailing geomean over the
@@ -137,7 +143,7 @@ class TestMergeProperties:
                        for m in range(n_modes)), ""]
                     for r in range(n_rows)]
             cell_results.append(_synthetic(headers, rows))
-        merged = _column_refold_merge(cell_results)
+        merged = column_refold_merge(cell_results)
         assert merged.rows == full_rows
         assert merged.render() == _synthetic(headers, full_rows).render()
 
@@ -145,7 +151,7 @@ class TestMergeProperties:
         a = _synthetic(["s", "x"], [["r0", 1.0]])
         b = _synthetic(["s", "x"], [["r0", ""], ["r1", ""]])
         with pytest.raises(ValueError, match="row count"):
-            _column_refold_merge([a, b])
+            column_refold_merge([a, b])
 
 
 class TestShardedIdentity:
@@ -192,6 +198,16 @@ class TestShardedIdentity:
         assert run.shard_digests == []
         assert len(run.attempt_history) == 1
         assert run.ok
+
+    def test_kwargs_the_runner_rejects_fail_the_entry(self):
+        """An entry the runner cannot bind runs whole and fails as that
+        entry, naming the runner's error, rather than aborting the
+        expansion of every entry."""
+        from repro.harness.parallel import SuiteRunError
+
+        kwargs = dict(scale=SCALE, queue_entries=(64, 2048), bogus=1)
+        with pytest.raises(SuiteRunError, match="bogus"):
+            run_entry_sharded(0, "fig19", kwargs, jobs=2)
 
     def test_more_workers_than_values_is_one_cell_per_value(self):
         """fig19 with 2 queue sizes on 4 workers runs as 2 cells, each
@@ -244,7 +260,15 @@ class TestSuiteIntegration:
         assert sharded[0].shard_digests and not serial[0].shard_digests
 
     def test_shardable_registry_names_are_suite_entries(self):
+        """Every shard spec names an argument of its runner, and the
+        figure's suite entry splits into at least two cells."""
+        from repro.harness.figures import cells
         from repro.harness.suite import SUITE
 
-        suite_ids = {exp_id for exp_id, _ in SUITE}
-        assert set(SHARDABLE) <= suite_ids
+        for exp_id, kwargs in SUITE:
+            shard = FIGURES[exp_id].shard
+            if shard is None:
+                continue
+            assert shard.axis in inspect.signature(
+                FIGURES[exp_id].runner).parameters, exp_id
+            assert len(cells(exp_id, kwargs)) >= 2, exp_id

@@ -11,6 +11,7 @@ the same cache.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,10 @@ from repro.harness.diskcache import (
     unwrap,
     wrap,
 )
-from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult
+from repro.harness.experiments import ExperimentResult
+from repro.harness.figures import FIGURES, Figure
 from repro.harness.parallel import digests, run_suite
-from repro.harness.sharding import SHARDABLE, ShardSpec, _concat_merge
+from repro.harness.sharding import ShardSpec, concat_merge
 from repro.harness.simcache import CELL_KIND, cell_inputs, run_experiment
 
 AXIS = ("alpha", "beta", "gamma")
@@ -53,10 +55,8 @@ def cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
     monkeypatch.delenv("REPRO_SIM_CACHE_MAX_MB", raising=False)
     monkeypatch.delenv("REPRO_HWFAULTS", raising=False)
-    monkeypatch.setitem(ALL_EXPERIMENTS, "figfake", _figfake)
-    monkeypatch.setitem(SHARDABLE, "figfake",
-                        ShardSpec(axis="benchmarks", merge=_concat_merge,
-                                  default=lambda kwargs: AXIS))
+    monkeypatch.setitem(FIGURES, "figfake", Figure(
+        _figfake, {}, shard=ShardSpec("benchmarks", concat_merge)))
     _figfake.calls = []
     return tmp_path / "cells"
 
@@ -98,7 +98,7 @@ class TestLifecycle:
         assert acct.as_tuple() == (0, 3)  # scale keys every cell
 
     def test_whole_figure_cells_for_nonshardable(self, cache_env):
-        direct = ALL_EXPERIMENTS["fig22"]()
+        direct = FIGURES["fig22"].runner()
         cold, acct = run_experiment("fig22", {})
         assert acct.as_tuple() == (0, 1)
         warm, acct = run_experiment("fig22", {})
@@ -244,9 +244,9 @@ class TestResume:
         monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
         run_suite(jobs=1, only=self.ONLY)
         for exp_id in self.ONLY:
-            monkeypatch.setitem(
-                ALL_EXPERIMENTS, exp_id,
-                lambda **kw: pytest.fail("nothing should re-simulate"))
+            monkeypatch.setitem(FIGURES, exp_id, replace(
+                FIGURES[exp_id],
+                runner=lambda **kw: pytest.fail("nothing should re-simulate")))
         again = run_suite(jobs=1, only=self.ONLY)
         assert [r.cache_misses for r in again] == [0, 0]
         assert digests(again) == digests(clean)
@@ -258,14 +258,15 @@ class TestResume:
         monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "cells"))
         monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "a" * 64)
         run_suite(jobs=1, only=["fig22"])
-        real = ALL_EXPERIMENTS["fig22"]
+        real = FIGURES["fig22"].runner
 
         def edited(**kwargs):
             result = real(**kwargs)
             result.rows = result.rows[:-1]
             return result
 
-        monkeypatch.setitem(ALL_EXPERIMENTS, "fig22", edited)
+        monkeypatch.setitem(FIGURES, "fig22",
+                            replace(FIGURES["fig22"], runner=edited))
         monkeypatch.setattr(diskcache, "_CODE_FINGERPRINT", "b" * 64)
         (rerun,) = run_suite(jobs=1, only=["fig22"])
         assert (rerun.cache_hits, rerun.cache_misses) == (0, 1)

@@ -1,12 +1,10 @@
-"""The paper's published results, checked as one table.
+"""The paper's published results, checked row by row.
 
-Each row of ``CLAIMS`` names a figure runner, the kwargs it is run with,
-the paper's value and where the paper states it, and a predicate over the
-runner's :class:`ExperimentResult`. The bands are wide on purpose: the
-heaps are scaled down (DESIGN.md §1), so a row checks that a result stays
-in the paper's regime, not that it matches the paper's digits. A failing
-row means the model has drifted from its only reference; report it rather
-than widening the band.
+Each figure's record in :data:`repro.harness.figures.FIGURES` carries its
+claim rows: per row the kwargs the runner is run with, where the paper
+states the result, its value there, and a predicate over the runner's
+:class:`ExperimentResult`. A failing row means the model has drifted from
+its only reference; report it rather than widening the band.
 
 Each distinct (figure, kwargs) pair is simulated once per session. Rows of
 simulated figures are ``slow``; the static models (fig22, abl_barriers)
@@ -15,266 +13,30 @@ take no kwargs and run in the quick tier.
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, NamedTuple
 
 import pytest
 
 from repro.core.config import GCUnitConfig
-from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult, fig22
-
-
-class Claim(NamedTuple):
-    id: str
-    figure: str
-    kwargs: Dict[str, Any]
-    paper: str
-    section: str
-    holds: Callable[[ExperimentResult], bool]
-
-
-def _figure(figure: str, kwargs: Dict[str, Any], section: str,
-            *checks) -> List[Claim]:
-    """One claim per ``(name, paper value, predicate)`` check of a figure."""
-    return [Claim(f"{figure}.{name}", figure, kwargs, paper, section, holds)
-            for name, paper, holds in checks]
-
-
-def _col(result: ExperimentResult, key: int, value: int) -> Dict[Any, Any]:
-    return {row[key]: row[value] for row in result.rows}
-
-
-def _labelled(result: ExperimentResult) -> Dict[Any, Any]:
-    return {row[0]: row for row in result.rows}
-
-
-def _column(result: ExperimentResult, col: int) -> List[Any]:
-    return [row[col] for row in result.rows]
-
-
-def _flat(values: List[float], ratio: float) -> bool:
-    return max(values) < ratio * min(values)
-
-
-def _fig16_avrora(result):  # collector -> (benchmark, collector, GB/s, ...)
-    return {row[1]: row for row in result.rows if row[0] == "avrora"}
-
-
-def _fig18_shares(result):  # source -> (shared %, partitioned %)
-    return {row[0]: (row[2], row[4]) for row in result.rows[:-1]}
-
-
-def _fig19_series(result, config):  # rows of one queue config, by size
-    return [row for row in result.rows if row[1] == config]
-
-
-def _fig22_unit_parts(result):  # "[c] GC unit / <part>" -> mm^2
-    return {k: v for k, v in _col(result, 0, 1).items() if k.startswith("[c]")}
-
-
-CLAIMS: List[Claim] = [
-    *_figure(
-        "fig01a", dict(scale=0.02, n_gcs=2), "Fig. 1a",
-        ("max_gc_share", "up to ~35% of CPU time in GC",
-         lambda r: max(_col(r, 0, 1).values()) > 15.0),
-        ("xalan_over_luindex", "xalan among the heaviest, luindex lightest",
-         lambda r: _col(r, 0, 1)["xalan"] > _col(r, 0, 1)["luindex"]),
-        ("lusearch_over_luindex", "lusearch among the heaviest",
-         lambda r: _col(r, 0, 1)["lusearch"] > _col(r, 0, 1)["luindex"]),
-    ),
-    *_figure(
-        "fig01b", dict(scale=0.02, n_gcs=3, n_queries=10_000, warmup=1_000),
-        "Fig. 1b",
-        ("tail_ratio", "GC stragglers up to ~100x the median",
-         lambda r: _col(r, 0, 1)["tail ratio p99.9/p50"] > 20.0),
-        ("queries_near_gc", "a share of queries lands on a pause",
-         lambda r: _col(r, 0, 1)["queries near GC (%)"] > 1.0),
-    ),
-    *_figure(
-        "fig15", dict(scale=0.04), "Fig. 15",
-        ("mark_geomean", "4.2x mark",
-         lambda r: 3.0 < r.rows[-1][3] < 5.5),
-        ("sweep_geomean", "1.9x sweep (2 sweepers)",
-         lambda r: 1.4 < r.rows[-1][6] < 3.2),
-        ("mark_every_benchmark", "every benchmark speeds up mark",
-         lambda r: all(row[3] > 2.0 for row in r.rows[:-1])),
-        ("sweep_every_benchmark", "every benchmark speeds up sweep",
-         lambda r: all(row[6] > 1.2 for row in r.rows[:-1])),
-    ),
-    *_figure(
-        "fig16", dict(scale=0.04), "Fig. 16",
-        ("unit_bandwidth", "the unit exploits far more bandwidth",
-         lambda r: _fig16_avrora(r)["GC unit"][2]
-         > 2.0 * _fig16_avrora(r)["CPU"][2]),
-        ("unit_pause", "the unit's pause is far shorter",
-         lambda r: _fig16_avrora(r)["GC unit"][4]
-         < 0.6 * _fig16_avrora(r)["CPU"][4]),
-    ),
-    *_figure(
-        "fig17", dict(scale=0.04), "Fig. 17",
-        ("mark_geomean", "9.0x mark with a 1-cycle / 8 GB/s pipe",
-         lambda r: 6.5 < r.rows[-1][1] < 12.0),
-        ("request_cadence", "a request every ~8.66 cycles",
-         lambda r: all(1.0 < row[3] < 20.0 for row in r.rows[:-1])),
-        ("port_busy", "port busy ~88% of mark cycles",
-         lambda r: all(row[4] > 25.0 for row in r.rows[:-1])),
-        ("below_peak", "data consumption below the 8 GB/s peak",
-         lambda r: all(row[5] < 8.0 for row in r.rows[:-1])),
-    ),
-    *_figure(
-        "fig18", dict(scale=0.03), "Fig. 18",
-        ("shared_ptw_share", "shared cache: ~2/3 of L1 requests from the PTW",
-         lambda r: _fig18_shares(r)["ptw"][0] > 40.0),
-        ("shared_ptw_over_marker", "the PTW drowns out the marker",
-         lambda r: _fig18_shares(r)["ptw"][0] > _fig18_shares(r)["marker"][0]),
-        ("partitioned_marker_tracer",
-         "partitioned: marker + tracer dominate memory requests",
-         lambda r: _fig18_shares(r)["marker"][1]
-         + _fig18_shares(r)["tracer"][1] > 50.0),
-        ("partitioned_ptw_drops", "partitioning cuts the PTW's share",
-         lambda r: _fig18_shares(r)["ptw"][1] < _fig18_shares(r)["ptw"][0]),
-    ),
-    *_figure(
-        "fig19", dict(scale=0.03, queue_entries=(128, 512, 2048, 16384)),
-        "Fig. 19",
-        ("spill_shrinks", "spilling shrinks as the queue grows",
-         lambda r: _fig19_series(r, "TQ=128")[-1][2]
-         <= _fig19_series(r, "TQ=128")[0][2]),
-        ("spill_vanishes", "a queue covering the frontier never spills",
-         lambda r: _fig19_series(r, "TQ=128")[-1][2] == 0),
-        # The paper's ~2% is at its heap sizes; our scaled heaps have a
-        # proportionally larger frontier, hence the wider band.
-        ("spill_share", "spilling ~2% of memory requests",
-         lambda r: _fig19_series(r, "TQ=128")[0][3] < 25.0),
-        ("mark_time_flat", "mark time nearly flat vs queue size",
-         lambda r: _flat([row[4] for row in _fig19_series(r, "TQ=128")],
-                         1.7)),
-        ("compression", "compression halves spilling",
-         lambda r: _fig19_series(r, "Comp.")[0][2]
-         < 0.8 * _fig19_series(r, "TQ=128")[0][2]),
-    ),
-    *_figure(
-        "fig20", dict(scale=0.024, sweeper_counts=(1, 2, 4, 8)), "Fig. 20",
-        ("linear_to_two", "linear scaling to 2 sweepers",
-         lambda r: all(row[2] > 1.25 * row[1] for row in r.rows)),
-        ("knee", "diminishing returns beyond 2 (contention)",
-         lambda r: all(row[3] / row[2] < row[2] / row[1] for row in r.rows)),
-        ("eight_bounded", "8 sweepers gain little over 2",
-         lambda r: all(row[4] < 2.0 * row[2] for row in r.rows)),
-        ("two_beat_cpu", "2+ sweepers beat the CPU sweep",
-         lambda r: all(row[2] > 1.2 for row in r.rows)),
-    ),
-    *_figure(
-        "fig21", dict(scale=0.04, n_warm_gcs=2,
-                      cache_sizes=(0, 16, 64, 105, 256)), "Fig. 21",
-        ("top56_share", "~56 objects draw ~10% of mark accesses",
-         lambda r: r.extras["top56_share_pct"] > 3.0),
-        ("no_cache_filters_nothing", "no cache filters nothing",
-         lambda r: r.rows[0][1] == 0),
-        ("filtering_grows", "filtering grows with cache size",
-         lambda r: _column(r, 1)[-1] > _column(r, 1)[1] >= 0),
-        ("mark_time_flat", "no substantial impact on mark time",
-         lambda r: _flat(_column(r, 4), 1.25)),
-    ),
-    *_figure(
-        "fig22", {}, "Fig. 22",
-        ("unit_vs_rocket", "the unit is 18.5% the size of Rocket",
-         lambda r: _col(r, 0, 1)["unit/Rocket ratio %"]
-         == pytest.approx(18.5, abs=1.5)),
-        ("sram_kb", "~64 KB of SRAM",
-         lambda r: _col(r, 0, 1)["unit SRAM-equivalent KB"]
-         == pytest.approx(64, abs=6)),
-        ("mark_queue_dominates", "the mark queue dominates the unit",
-         lambda r: _fig22_unit_parts(r)["[c] GC unit / Mark Q."]
-         == max(_fig22_unit_parts(r).values())),
-        ("area_ordering", "L2 > Rocket > HWGC",
-         lambda r: _col(r, 0, 1)["[a] L2 Cache"]
-         > _col(r, 0, 1)["[a] Rocket"] > _col(r, 0, 1)["[a] HWGC"]),
-    ),
-    *_figure(
-        "fig23", dict(scale=0.04), "Fig. 23",
-        ("energy_saving", "~14.5% lower GC energy",
-         lambda r: r.rows[-1][-1] > 5.0),
-        ("unit_dram_power", "much higher DRAM power for the unit",
-         lambda r: all(row[2] > 1.3 * row[1] for row in r.rows[:-1])),
-    ),
-    *_figure(
-        "abl_layout", dict(scale=0.03), "§IV-A idea I",
-        ("tib_costs_more", "the TIB layout adds two accesses per object",
-         lambda r: all(row[3] > 1.02 for row in r.rows)),
-    ),
-    *_figure(
-        "abl_decoupling", dict(scale=0.03), "§IV-A ideas II/III",
-        ("single_slot_slower", "decoupling exposes memory-level parallelism",
-         lambda r: _col(r, 0, 1)["single-slot marker"]
-         > 1.5 * _col(r, 0, 1)["decoupled (TQ=128, 16 slots)"]),
-    ),
-    *_figure(
-        "abl_scheduler", dict(scale=0.03), "§VI-A",
-        ("unit_prefers_frfcfs", "FR-FCFS/16 significantly helps the unit",
-         lambda r: _labelled(r)["FR-FCFS/16"][2] < _labelled(r)["FIFO/8"][2]),
-        ("cpu_insensitive", "the CPU is insensitive to the scheduler",
-         lambda r: _flat(_column(r, 1), 1.10)),
-    ),
-    *_figure(
-        "abl_barriers", {}, "§III, §IV-E",
-        ("software_overhead", "ZGC-style software barriers: up to 15%",
-         lambda r: _labelled(r)["software"][1] < 20.0),
-        ("vm_trap_storms", "VM traps storm under churn",
-         lambda r: _labelled(r)["vm_trap"][2]
-         > _labelled(r)["vm_trap"][1] * 10),
-        ("refload_beats_software", "REFLOAD is cheaper than software",
-         lambda r: _labelled(r)["refload"][1] < _labelled(r)["software"][1]),
-        ("coherence_beats_software", "coherence is cheaper than software",
-         lambda r: _labelled(r)["coherence"][1]
-         < _labelled(r)["software"][1]),
-        ("vm_trap_quiet", "VM traps are cheapest at low churn",
-         lambda r: _labelled(r)["vm_trap"][1] < _labelled(r)["refload"][1]),
-        ("vm_trap_worst_churn", "VM traps lose to software under churn",
-         lambda r: _labelled(r)["vm_trap"][2] > _labelled(r)["software"][2]),
-    ),
-    *_figure(
-        "abl_superpages", dict(scale=0.04), "§VII",
-        ("fewer_walks", "large pages relieve the TLB bottleneck",
-         lambda r: _labelled(r)["2 MiB superpages"][2]
-         < _labelled(r)["4 KiB pages"][2] / 5),
-        ("speedup", "superpages speed up marking",
-         lambda r: _labelled(r)["2 MiB superpages"][4] > 1.1),
-    ),
-    *_figure(
-        "abl_nonblocking_ptw", dict(scale=0.04), "§VI-A",
-        ("baseline_is_one", "blocking walker is the baseline",
-         lambda r: _column(r, 3)[0] == 1.0),
-        ("speedup", "a non-blocking TLB recovers mark throughput",
-         lambda r: _column(r, 3)[-1] > 1.1),
-        ("monotone", "more concurrent walks never hurt",
-         lambda r: _column(r, 3) == sorted(_column(r, 3))),
-    ),
-    *_figure(
-        "abl_throttle", dict(scale=0.04), "§VII",
-        ("mark_slows", "tighter throttling lengthens the GC",
-         lambda r: _column(r, 1) == sorted(_column(r, 1))),
-        ("requests_drop", "tighter throttling frees bandwidth",
-         lambda r: _column(r, 3) == sorted(_column(r, 3), reverse=True)),
-    ),
-]
+from repro.harness.experiments import ExperimentResult, fig22
+from repro.harness.figures import FIGURES
 
 
 @lru_cache(maxsize=None)
 def _simulate(figure: str, kwargs: tuple) -> ExperimentResult:
     # Straight to the runner, not run_experiment: the sim cache drops
     # ``extras`` (fig21's top-56 share lives there).
-    return ALL_EXPERIMENTS[figure](**dict(kwargs))
+    return FIGURES[figure].runner(**dict(kwargs))
 
 
-@pytest.mark.parametrize("claim", [
-    pytest.param(claim, id=claim.id,
+@pytest.mark.parametrize("exp_id,claim", [
+    pytest.param(exp_id, claim, id=f"{exp_id}.{claim.name}",
                  marks=[pytest.mark.slow] if claim.kwargs else [])
-    for claim in CLAIMS
+    for exp_id, figure in FIGURES.items() for claim in figure.claims
 ])
-def test_claim(claim):
-    result = _simulate(claim.figure, tuple(sorted(claim.kwargs.items())))
+def test_claim(exp_id, claim):
+    result = _simulate(exp_id, tuple(sorted(claim.kwargs.items())))
     assert claim.holds(result), (
-        f"{claim.id}: out of the paper's regime ({claim.paper}, "
+        f"{exp_id}.{claim.name}: out of the paper's regime ({claim.paper}, "
         f"{claim.section})\n{result.render()}")
 
 
@@ -282,16 +44,12 @@ def test_area_rows_reject_a_larger_mark_queue():
     """The fig22 bands are tight enough to fail: a 2048-entry mark queue
     makes the unit ~26% of Rocket with ~90 KB of SRAM."""
     bigger = fig22(config=replace(GCUnitConfig(), mark_queue_entries=2048))
-    rows = {claim.id: claim for claim in CLAIMS}
-    assert not rows["fig22.unit_vs_rocket"].holds(bigger)
-    assert not rows["fig22.sram_kb"].holds(bigger)
+    rows = {claim.name: claim for claim in FIGURES["fig22"].claims}
+    assert not rows["unit_vs_rocket"].holds(bigger)
+    assert not rows["sram_kb"].holds(bigger)
 
 
 def test_every_figure_has_a_claim():
-    ids = [claim.id for claim in CLAIMS]
-    assert len(ids) == len(set(ids))
-    figures = {claim.figure for claim in CLAIMS}
-    assert figures <= set(ALL_EXPERIMENTS)
     # DESIGN.md §4's experiment index.
-    assert {"fig01a", "fig01b", *(f"fig{n}" for n in range(15, 24))} \
-        <= figures
+    for exp_id in ("fig01a", "fig01b", *(f"fig{n}" for n in range(15, 24))):
+        assert FIGURES[exp_id].claims, exp_id

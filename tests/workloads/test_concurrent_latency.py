@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.concurrent.barriers import MutatorBarriers
 from repro.core.concurrent.collect import ConcurrentCycle
-from repro.harness.experiments import ALL_EXPERIMENTS, conc_latency
+from repro.harness.experiments import conc_latency
 from repro.heap.verify import reachable_digest
 from repro.workloads import DACAPO_PROFILES, HeapGraphBuilder
 from repro.workloads.latency import (
@@ -149,7 +149,11 @@ class TestCompareStwConcurrent:
 
 class TestConcLatencyExperiment:
     def test_registered_in_suite(self):
-        assert ALL_EXPERIMENTS["conc_latency"] is conc_latency
+        from repro.harness.figures import FIGURES
+        from repro.harness.suite import SUITE
+
+        assert FIGURES["conc_latency"].runner is conc_latency
+        assert ("conc_latency", FIGURES["conc_latency"].kwargs) in SUITE
 
     @pytest.mark.slow
     def test_experiment_renders_and_meets_criterion(self):
