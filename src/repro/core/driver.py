@@ -8,7 +8,10 @@ SysCall interface to initiate collections and poll for completion.
 
 :class:`HWGCDriver` reproduces that control flow against the simulated
 MMIO register file, and is the entry point the examples use: configure
-once, then ``run_gc()`` per collection.
+once, then ``run_gc()``, ``run_gc_concurrent()`` or the supervised
+``run_gc_safe()`` per collection. All three share one start / collect /
+finish path; the supervised one adds a watchdog, a software check and
+one fallback to the software collector.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Set
 
+from repro.core.concurrent.collect import ConcurrentCycle, ConcurrentGCResult
 from repro.core.config import GCUnitConfig, HardwareGCResult
 from repro.core.mmio import Command, MMIORegisterFile, Reg, Status
 from repro.core.unit import GCUnit
@@ -23,6 +27,7 @@ from repro.engine.simulator import StallReport
 from repro.engine.watchdog import GCWatchdog
 from repro.heap.heapimage import HeapCheckpoint, ManagedHeap
 from repro.heap.verify import HeapVerifier, VerificationReport
+from repro.swgc.marksweep import SoftwareCollector
 
 
 @dataclass
@@ -37,7 +42,7 @@ class SafeGCResult:
     injected fault that fired ride along here and in the stats/trace.
     """
 
-    result: Any  # HardwareGCResult or SoftwareGCResult
+    result: Any  # Hardware-, ConcurrentGCResult or SoftwareGCResult
     outcome: str
     stall: Optional[StallReport] = None
     hardware_error: Optional[str] = None
@@ -60,10 +65,8 @@ class SafeGCResult:
         if self.hardware_error is not None:
             return f"hardware model error: {self.hardware_error}"
         if self.verification is not None and not self.verification.ok:
-            problems = (self.verification.mark_errors
-                        + self.verification.sweep_errors
-                        + self.verification.freelist_errors)
-            return f"verification failed ({len(problems)} problems)"
+            return (f"verification failed "
+                    f"({len(self.verification.problems)} problems)")
         return "unknown"
 
 
@@ -101,26 +104,11 @@ class HWGCDriver:
 
         Precondition: the runtime has already written the roots into
         hwgc-space (root scanning stays in software, §IV-C)."""
-        if not self._initialized:
-            raise RuntimeError("driver not initialized; call init_device()")
-        if self.mmio.status != Status.READY:
-            raise RuntimeError(f"unit busy: {self.mmio.status}")
-        self.mmio.write(Reg.MARK_PARITY, self.heap.mark_parity)
-        self.mmio.write(Reg.COMMAND, int(Command.START_FULL_GC))
-        self.mmio.set_status(Status.MARKING)
-        unit = GCUnit(self.heap, self.config)
-        mark_cycles = unit.mark()
-        self.mmio.set_status(Status.SWEEPING)
-        sweep_cycles = unit.sweep()
-        self.mmio.set_status(Status.DONE)
-        result = unit.collect_result(mark_cycles, sweep_cycles)
-        self.mmio.write(Reg.OBJECTS_MARKED, result.objects_marked)
-        self.mmio.write(Reg.CELLS_FREED, result.cells_freed)
-        self.mmio.write(Reg.COMMAND, int(Command.IDLE))
-        self.mmio.set_status(Status.READY)
-        return result
+        self._start(Command.START_FULL_GC)
+        return self._finish(self._collect())
 
-    def run_gc_concurrent(self, mutator, relocate_blocks: int = 0):
+    def run_gc_concurrent(self, mutator,
+                          relocate_blocks: int = 0) -> ConcurrentGCResult:
         """Initiate a concurrent collection (§IV-D) and run it to DONE.
 
         The mutator keeps running during marking: its reference operations
@@ -128,26 +116,30 @@ class HWGCDriver:
         relocation is served mid-traversal from the forwarding table. Only
         the termination handshake and the sweep pause the application.
         """
-        from repro.core.concurrent.collect import ConcurrentCycle
+        self._start(Command.START_CONCURRENT_GC)
+        return self._finish(self._collect(mutator, relocate_blocks))
 
+    def _start(self, command: Command) -> None:
+        """Check the unit can take a command, then program and issue it."""
         if not self._initialized:
             raise RuntimeError("driver not initialized; call init_device()")
         if self.mmio.status != Status.READY:
             raise RuntimeError(f"unit busy: {self.mmio.status}")
         self.mmio.write(Reg.MARK_PARITY, self.heap.mark_parity)
-        self.mmio.write(Reg.COMMAND, int(Command.START_CONCURRENT_GC))
-        cycle = ConcurrentCycle(self.heap, self.config, mutator,
-                                relocate_blocks=relocate_blocks)
+        self.mmio.write(Reg.COMMAND, int(command))
+
+    def _collect(self, mutator=None, relocate_blocks: int = 0):
+        """One hardware collection: mark then sweep, or (given a
+        ``mutator``) a concurrent cycle racing it."""
         unit = GCUnit(self.heap, self.config)
-        result = cycle.run(unit, on_phase=self._concurrent_phase)
-        self.mmio.set_status(Status.DONE)
-        self.mmio.write(Reg.OBJECTS_MARKED, result.objects_marked)
-        self.mmio.write(Reg.CELLS_FREED, result.cells_freed)
-        self.mmio.write(Reg.BARRIER_HITS, result.write_barrier_hits)
-        self.mmio.write(Reg.OBJECTS_RELOCATED, result.objects_relocated)
-        self.mmio.write(Reg.COMMAND, int(Command.IDLE))
-        self.mmio.set_status(Status.READY)
-        return result
+        if mutator is not None:
+            cycle = ConcurrentCycle(self.heap, self.config, mutator,
+                                    relocate_blocks=relocate_blocks)
+            return cycle.run(unit, on_phase=self._concurrent_phase)
+        self.mmio.set_status(Status.MARKING)
+        mark_cycles = unit.mark()
+        self.mmio.set_status(Status.SWEEPING)
+        return unit.collect_result(mark_cycles, unit.sweep())
 
     def _concurrent_phase(self, phase: str) -> None:
         """Status-register transitions as the concurrent cycle progresses."""
@@ -156,58 +148,60 @@ class HWGCDriver:
         elif phase == "sweep":
             self.mmio.set_status(Status.SWEEPING)
 
+    def _finish(self, result):
+        """Publish a finished collection's counters and return to READY."""
+        self.mmio.set_status(Status.DONE)
+        self.mmio.write(Reg.OBJECTS_MARKED, result.objects_marked)
+        self.mmio.write(Reg.CELLS_FREED, result.cells_freed)
+        if isinstance(result, ConcurrentGCResult):
+            self.mmio.write(Reg.BARRIER_HITS, result.write_barrier_hits)
+            self.mmio.write(Reg.OBJECTS_RELOCATED, result.objects_relocated)
+        self.mmio.write(Reg.COMMAND, int(Command.IDLE))
+        self.mmio.set_status(Status.READY)
+        return result
+
     # -- the safety net (§V-E's replaceable libhwgc) -----------------------
 
-    def run_gc_safe(self, watchdog: Optional[GCWatchdog] = None,
-                    verify: bool = True, mode: str = "stw",
-                    mutator=None, relocate_blocks: int = 0) -> SafeGCResult:
+    def run_gc_safe(self, mode: str = "stw", mutator=None,
+                    relocate_blocks: int = 0) -> SafeGCResult:
         """Run a collection with supervision and graceful degradation.
 
         The hardware collection runs under a :class:`GCWatchdog`; its
         result is then software-checked against a reachability oracle
-        captured *before* the run (so even a fault that corrupts the
-        object graph cannot fool the check). On a watchdog trip, a model
-        exception, or a failed check, the hardware run is aborted — all
-        residual simulation events and queued memory requests from the
-        dead unit are discarded, the pre-GC heap snapshot is restored —
-        and the collection re-runs on the software safety net. Either way
-        the final live set equals the oracle exactly.
+        (so even a fault that corrupts the object graph cannot fool the
+        check). On a watchdog trip, a model exception, or a failed check,
+        the hardware run is aborted — all residual simulation events and
+        queued memory requests from the dead unit are discarded, the
+        pre-GC heap snapshot is restored — and the collection re-runs on
+        the software safety net, checked against the oracle captured
+        *before* the run. Either way the final live set equals it exactly.
 
         ``mode="concurrent"`` supervises a concurrent cycle instead (pass
-        the ``mutator``; see :meth:`run_gc_concurrent`). The same safety
-        net applies, with one honest caveat: falling back restores the
+        the ``mutator``; see :meth:`run_gc_concurrent`). Its success path
+        is checked against the oracle captured at the termination
+        handshake — the only one valid for a graph that changed mid-cycle
+        — with floating garbage allowed. Falling back restores the
         pre-cycle snapshot, so the mutator's work during the doomed cycle
         is lost and the software collector finishes a plain STW pause.
         """
-        from repro.swgc.marksweep import SoftwareCollector
-
-        if mode == "concurrent":
-            return self._run_gc_safe_concurrent(
-                watchdog, verify, mutator, relocate_blocks)
-        if mode != "stw":
+        if mode not in ("stw", "concurrent"):
             raise ValueError(f"unknown GC mode {mode!r}")
-        if not self._initialized:
-            raise RuntimeError("driver not initialized; call init_device()")
-        if self.mmio.status != Status.READY:
-            raise RuntimeError(f"unit busy: {self.mmio.status}")
+        concurrent = mode == "concurrent"
+        if concurrent and mutator is None:
+            raise ValueError("mode='concurrent' needs a mutator")
+        self._start(Command.START_CONCURRENT_GC if concurrent
+                    else Command.START_FULL_GC)
         heap = self.heap
         stats = heap.memsys.stats
         snapshot = heap.checkpoint()
-        oracle = heap.reachable()
-        wd = watchdog if watchdog is not None else GCWatchdog()
-        wd.attach(heap.sim, stats)
+        oracle = heap.reachable()  # pre-GC: also the fallback's oracle
+        wd = GCWatchdog().attach(heap.sim, stats)
         stall: Optional[StallReport] = None
         hardware_error: Optional[str] = None
-        result: Optional[HardwareGCResult] = None
-        self.mmio.write(Reg.MARK_PARITY, heap.mark_parity)
-        self.mmio.write(Reg.COMMAND, int(Command.START_FULL_GC))
-        self.mmio.set_status(Status.MARKING)
-        unit = GCUnit(heap, self.config)
+        result = None
         try:
-            mark_cycles = unit.mark()
-            self.mmio.set_status(Status.SWEEPING)
-            sweep_cycles = unit.sweep()
-            result = unit.collect_result(mark_cycles, sweep_cycles)
+            result = self._collect(mutator if concurrent else None,
+                                   relocate_blocks)
         except StallReport as exc:
             stall = exc
         except Exception as exc:  # a fault surfacing as a model error
@@ -215,17 +209,15 @@ class HWGCDriver:
         finally:
             wd.detach(heap.sim)
         verification: Optional[VerificationReport] = None
-        if result is not None and verify:
-            verification = self._post_collection_check(oracle)
+        if result is not None:
+            verification = self._check(
+                result.oracle if concurrent else oracle,
+                floating_ok=concurrent)
         plane = stats.hwfaults
         fired = list(plane.fired) if plane is not None else []
-        if result is not None and (verification is None or verification.ok):
-            self.mmio.set_status(Status.DONE)
-            self.mmio.write(Reg.OBJECTS_MARKED, result.objects_marked)
-            self.mmio.write(Reg.CELLS_FREED, result.cells_freed)
-            self.mmio.write(Reg.COMMAND, int(Command.IDLE))
-            self.mmio.set_status(Status.READY)
-            return SafeGCResult(result=result, outcome="hardware",
+        if verification is not None and verification.ok:
+            return SafeGCResult(result=self._finish(result),
+                                outcome="hardware",
                                 verification=verification, faults=fired)
         # -- graceful degradation ------------------------------------------
         discarded_events, discarded_requests = self._abort_hardware(snapshot)
@@ -240,142 +232,29 @@ class HWGCDriver:
         if trace is not None:
             trace.emit(heap.sim.now, "fallback", safe.reason(),
                        stall.culprit if stall is not None else "")
-        sw = SoftwareCollector(heap)
-        safe.result = sw.collect()
-        if verify:
-            after = self._post_collection_check(oracle)
-            if not after.ok:
-                after.raise_if_failed()  # double fault: nothing left to try
-        self.mmio.write(Reg.OBJECTS_MARKED, safe.result.objects_marked)
-        self.mmio.write(Reg.CELLS_FREED, safe.result.cells_freed)
+        safe.result = SoftwareCollector(heap).collect()
+        problems = self._check(oracle).problems
+        if problems:  # double fault: nothing left to try
+            raise AssertionError(
+                f"software fallback failed its check ({len(problems)} "
+                f"problems: {'; '.join(problems[:5])}); the fallback was "
+                f"taken for {safe.reason()}")
         self.mmio.write(Reg.FALLBACKS, self.mmio.read(Reg.FALLBACKS) + 1)
-        self.mmio.write(Reg.COMMAND, int(Command.IDLE))
-        self.mmio.set_status(Status.READY)
+        self._finish(safe.result)
         return safe
 
-    def _post_collection_check(self, oracle: Set[int]) -> VerificationReport:
-        """Software check of a finished collection against the pre-GC
-        reachability oracle.
+    def _check(self, oracle: Set[int],
+               floating_ok: bool = False) -> VerificationReport:
+        """Software check of a finished collection against ``oracle``.
 
         Checks only what stays decodable after a sweep: every oracle-live
         object's mark bit (swept dead cells no longer decode as objects,
         so the full ``check_marks`` walk is not applicable here), the
-        per-cell sweep outcome, and the rebuilt free lists. A verifier
-        crash — e.g. a corrupted header that no longer parses — counts as
-        a failed check, not a driver error.
-        """
-        heap = self.heap
-        report = VerificationReport()
-        parity = heap.mark_parity
-        try:
-            for addr in sorted(oracle):
-                report.objects_checked += 1
-                if not heap.view(addr).is_marked(parity):
-                    report.mark_errors.append(
-                        f"unmarked live object at {addr:#x}")
-            verifier = HeapVerifier(heap)
-            verifier.check_sweep(report=report, parity=parity, live=oracle)
-            verifier.check_free_lists(report=report)
-        except Exception as exc:
-            report.sweep_errors.append(
-                f"verifier crashed: {type(exc).__name__}: {exc}")
-        return report
-
-    # -- concurrent collection under the same safety net --------------------
-
-    def _run_gc_safe_concurrent(self, watchdog: Optional[GCWatchdog],
-                                verify: bool, mutator,
-                                relocate_blocks: int) -> SafeGCResult:
-        """Supervised concurrent collection with software fallback.
-
-        The success path verifies against the reachability oracle captured
-        at the termination handshake (the only oracle valid for a graph
-        that changed mid-cycle). The fallback path restores the pre-cycle
-        snapshot — losing the doomed cycle's mutator work — and re-runs as
-        a software STW collection verified against the *pre-cycle* oracle.
-        """
-        from repro.core.concurrent.collect import ConcurrentCycle
-        from repro.swgc.marksweep import SoftwareCollector
-
-        if mutator is None:
-            raise ValueError("mode='concurrent' needs a mutator")
-        if not self._initialized:
-            raise RuntimeError("driver not initialized; call init_device()")
-        if self.mmio.status != Status.READY:
-            raise RuntimeError(f"unit busy: {self.mmio.status}")
-        heap = self.heap
-        stats = heap.memsys.stats
-        snapshot = heap.checkpoint()
-        pre_oracle = heap.reachable()  # valid only for the restored snapshot
-        wd = watchdog if watchdog is not None else GCWatchdog()
-        wd.attach(heap.sim, stats)
-        stall: Optional[StallReport] = None
-        hardware_error: Optional[str] = None
-        result = None
-        self.mmio.write(Reg.MARK_PARITY, heap.mark_parity)
-        self.mmio.write(Reg.COMMAND, int(Command.START_CONCURRENT_GC))
-        unit = GCUnit(heap, self.config)
-        cycle = ConcurrentCycle(heap, self.config, mutator,
-                                relocate_blocks=relocate_blocks)
-        try:
-            result = cycle.run(unit, on_phase=self._concurrent_phase)
-        except StallReport as exc:
-            stall = exc
-        except Exception as exc:  # a fault surfacing as a model error
-            hardware_error = f"{type(exc).__name__}: {exc}"
-        finally:
-            wd.detach(heap.sim)
-        verification: Optional[VerificationReport] = None
-        if result is not None and verify:
-            verification = self._post_concurrent_check(result.oracle)
-        plane = stats.hwfaults
-        fired = list(plane.fired) if plane is not None else []
-        if result is not None and (verification is None or verification.ok):
-            self.mmio.set_status(Status.DONE)
-            self.mmio.write(Reg.OBJECTS_MARKED, result.objects_marked)
-            self.mmio.write(Reg.CELLS_FREED, result.cells_freed)
-            self.mmio.write(Reg.BARRIER_HITS, result.write_barrier_hits)
-            self.mmio.write(Reg.OBJECTS_RELOCATED, result.objects_relocated)
-            self.mmio.write(Reg.COMMAND, int(Command.IDLE))
-            self.mmio.set_status(Status.READY)
-            return SafeGCResult(result=result, outcome="hardware",
-                                verification=verification, faults=fired)
-        # -- graceful degradation: abandon the cycle and its mutator work --
-        discarded_events, discarded_requests = self._abort_hardware(snapshot)
-        self.mmio.set_status(Status.FALLBACK)
-        stats.inc("driver.fallbacks")
-        safe = SafeGCResult(result=None, outcome="fallback", stall=stall,
-                            hardware_error=hardware_error,
-                            verification=verification, faults=fired,
-                            discarded_events=discarded_events,
-                            discarded_requests=discarded_requests)
-        trace = stats.trace
-        if trace is not None:
-            trace.emit(heap.sim.now, "fallback", safe.reason(),
-                       stall.culprit if stall is not None else "")
-        sw = SoftwareCollector(heap)
-        safe.result = sw.collect()
-        if verify:
-            after = self._post_collection_check(pre_oracle)
-            if not after.ok:
-                after.raise_if_failed()  # double fault: nothing left to try
-        self.mmio.write(Reg.OBJECTS_MARKED, safe.result.objects_marked)
-        self.mmio.write(Reg.CELLS_FREED, safe.result.cells_freed)
-        self.mmio.write(Reg.FALLBACKS, self.mmio.read(Reg.FALLBACKS) + 1)
-        self.mmio.write(Reg.COMMAND, int(Command.IDLE))
-        self.mmio.set_status(Status.READY)
-        return safe
-
-    def _post_concurrent_check(self, oracle: Set[int]) -> VerificationReport:
-        """Software check of a finished *concurrent* collection.
-
-        The oracle is the reachable set captured at the termination
-        handshake. Two concurrent-specific relaxations versus
-        :meth:`_post_collection_check`: floating garbage (objects that died
-        during marking but were marked under SATB) legitimately survives
-        this cycle's sweep, so the strict surviving-garbage differential is
-        off; everything else — every handshake-live object marked, no
-        unswept dead cells, valid free lists — still holds exactly.
+        per-cell sweep outcome, and the rebuilt free lists. With
+        ``floating_ok`` (a concurrent cycle), floating garbage — objects
+        that died during marking but were marked under SATB — may survive
+        the sweep. A verifier crash — e.g. a corrupted header that no
+        longer parses — counts as a failed check, not a driver error.
         """
         heap = self.heap
         report = VerificationReport()
@@ -388,7 +267,7 @@ class HWGCDriver:
                         f"unmarked live object at {addr:#x}")
             verifier = HeapVerifier(heap)
             verifier.check_sweep(report=report, parity=parity, live=oracle,
-                                 floating_ok=True)
+                                 floating_ok=floating_ok)
             verifier.check_free_lists(report=report)
         except Exception as exc:
             report.sweep_errors.append(
@@ -413,8 +292,5 @@ class HWGCDriver:
         plane = stats.hwfaults
         if plane is not None:
             plane.suspend()
-        wd = stats.watchdog
-        if wd is not None:
-            wd.outstanding.clear()
         self.heap.restore(snapshot)
         return discarded_events, discarded_requests

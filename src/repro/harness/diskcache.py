@@ -114,12 +114,6 @@ def code_fingerprint() -> str:
     return _CODE_FINGERPRINT
 
 
-def reset_code_fingerprint() -> None:
-    """Drop the memoized fingerprint (tests that edit sources on disk)."""
-    global _CODE_FINGERPRINT
-    _CODE_FINGERPRINT = None
-
-
 def dumps(payload: Any) -> str:
     """Canonical JSON: sorted keys so an embedded sha256 is reproducible,
     and Python's NaN/Infinity dialect so such floats round-trip."""

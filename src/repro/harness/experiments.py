@@ -21,6 +21,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import GCUnitConfig
 from repro.core.concurrent.refload import BARRIER_MODELS, BarrierKind
 from repro.engine.stats import geomean
+from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS, FleetFaultSpec
+from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
 from repro.harness.reporting import render_series, render_table
 from repro.harness.runners import (
     build_heap,
@@ -848,7 +850,7 @@ def fleet_slo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
               policies: Sequence[str] = ("dedicated", "shared", "software"),
               n_units: int = 1, dram_tax: float = 0.25,
               shed_backlog_intervals: int = 0,
-              profiles_cycle: Optional[Sequence[str]] = None,
+              profiles_cycle: Sequence[str] = DEFAULT_PROFILES_CYCLE,
               tenants: Optional[Sequence[int]] = None) -> ExperimentResult:
     """Per-tenant tail latency and GC tax under fleet scheduling policies.
 
@@ -866,13 +868,10 @@ def fleet_slo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
                           profiles_cycle)
     from repro.fleet.report import SLO_HEADERS, fleet_summary_rows, \
         simulate_fleet
-    from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
     from repro.fleet.timeline import BaseRuns
 
     spec = FleetSpec(
-        n_tenants=n_tenants,
-        profiles_cycle=tuple(profiles_cycle) if profiles_cycle is not None
-        else DEFAULT_PROFILES_CYCLE,
+        n_tenants=n_tenants, profiles_cycle=tuple(profiles_cycle),
         scale=scale, seed=seed, n_gcs=n_gcs,
         n_queries=n_queries, warmup=warmup,
         n_units=n_units, dram_tax=dram_tax,
@@ -903,19 +902,17 @@ def fleet_slo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
 def fleet_lbo(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
               fleet_sizes: Sequence[int] = (2, 4),
               collectors: Sequence[str] = ("sw", "hw", "concurrent"),
-              profiles_cycle: Optional[Sequence[str]] = None) -> ExperimentResult:
+              profiles_cycle: Sequence[str] = DEFAULT_PROFILES_CYCLE,
+              ) -> ExperimentResult:
     """Lower-bound GC overhead per collector (Cai et al.), per fleet size."""
     reads = roster_base_runs(scale, seed, n_gcs, fleet_sizes, collectors,
                              profiles_cycle)
     from repro.fleet.lbo import LBO_HEADERS, fleet_lbo_rows
-    from repro.fleet.spec import DEFAULT_PROFILES_CYCLE
     from repro.fleet.timeline import BaseRuns
 
     rows = fleet_lbo_rows(
         scale=scale, seed=seed, n_gcs=n_gcs, fleet_sizes=tuple(fleet_sizes),
-        collectors=tuple(collectors),
-        profiles_cycle=tuple(profiles_cycle) if profiles_cycle is not None
-        else DEFAULT_PROFILES_CYCLE,
+        collectors=tuple(collectors), profiles_cycle=tuple(profiles_cycle),
         base_runs=BaseRuns(reads),
     )
     return ExperimentResult(
@@ -940,9 +937,9 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
                      failover_backoff_cycles: int = 50_000,
                      failover_retries: int = 3,
                      failover_timeout_cycles: int = 1_000_000,
-                     profiles_cycle: Optional[Sequence[str]] = None,
-                     rosters: Optional[Sequence[Sequence[str]]] = None
-                     ) -> ExperimentResult:
+                     profiles_cycle: Sequence[str] = DEFAULT_PROFILES_CYCLE,
+                     rosters: Sequence[Sequence[str]] =
+                     DEFAULT_RESILIENCE_ROSTERS) -> ExperimentResult:
     """Fleet goodput and tail latency under unit outages and brownouts.
 
     One fleet-level row per fault roster, all under the ``shared`` policy
@@ -957,17 +954,11 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
     """
     reads = resilience_base_runs(scale, seed, n_gcs, n_tenants,
                                  profiles_cycle, rosters)
-    from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS
     from repro.fleet.report import RESILIENCE_HEADERS, fleet_resilience_row
-    from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
     from repro.fleet.timeline import BaseRuns
 
-    if rosters is None:
-        rosters = DEFAULT_RESILIENCE_ROSTERS
     spec = FleetSpec(
-        n_tenants=n_tenants,
-        profiles_cycle=tuple(profiles_cycle) if profiles_cycle is not None
-        else DEFAULT_PROFILES_CYCLE,
+        n_tenants=n_tenants, profiles_cycle=tuple(profiles_cycle),
         scale=scale, seed=seed, n_gcs=n_gcs,
         n_queries=n_queries, warmup=warmup,
         n_units=n_units, dram_tax=dram_tax,
@@ -1000,18 +991,14 @@ def fleet_resilience(scale: float = 0.015, seed: int = 1, n_gcs: int = 2,
 def roster_base_runs(scale: float, seed: int, n_gcs: int,
                      fleet_sizes: Sequence[int],
                      collectors: Sequence[str],
-                     profiles_cycle: Optional[Sequence[str]]
-                     ) -> Tuple[Any, ...]:
+                     profiles_cycle: Sequence[str]) -> Tuple[Any, ...]:
     """Each collector's base run of every profile in fleets of
     ``fleet_sizes`` — what ``fleet_lbo`` reads."""
-    from repro.fleet.spec import DEFAULT_PROFILES_CYCLE, FleetSpec
-
-    cycle = (tuple(profiles_cycle) if profiles_cycle is not None
-             else DEFAULT_PROFILES_CYCLE)
     keys: Dict[Any, None] = {}
     for collector in collectors:
         for size in fleet_sizes:
-            for tenant in FleetSpec(n_tenants=size, profiles_cycle=cycle,
+            for tenant in FleetSpec(n_tenants=size,
+                                    profiles_cycle=tuple(profiles_cycle),
                                     scale=scale, seed=seed,
                                     n_gcs=n_gcs).tenants():
                 keys[(tenant.benchmark, collector, scale, seed, n_gcs)] = None
@@ -1030,13 +1017,9 @@ def slo_base_runs(scale, seed, n_gcs, n_tenants, policies, profiles_cycle):
 def resilience_base_runs(scale, seed, n_gcs, n_tenants, profiles_cycle,
                          rosters):
     """The base runs one ``fleet_resilience`` cell reads."""
-    from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS, FleetFaultSpec
-
     # An empty fault spec is the fault-free run, which never reads the
     # software fallback's runs.
-    armed = any(FleetFaultSpec.parse(spec) for _label, spec in
-                (rosters if rosters is not None
-                 else DEFAULT_RESILIENCE_ROSTERS))
+    armed = any(FleetFaultSpec.parse(spec) for _label, spec in rosters)
     return roster_base_runs(scale, seed, n_gcs, (n_tenants,),
                             ("hw", "sw") if armed else ("hw",),
                             profiles_cycle)

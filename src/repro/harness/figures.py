@@ -371,9 +371,6 @@ def _none_means(axis: str, args: Dict[str, Any]) -> Sequence[Any]:
     binding cannot read off its signature)."""
     if axis == "tenants":
         return range(args["n_tenants"])
-    if axis == "rosters":
-        from repro.fleet.faults import DEFAULT_RESILIENCE_ROSTERS
-        return DEFAULT_RESILIENCE_ROSTERS
     return BENCHMARK_ORDER
 
 

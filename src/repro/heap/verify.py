@@ -35,14 +35,16 @@ class VerificationReport:
     freelist_errors: List[str] = field(default_factory=list)
 
     @property
+    def problems(self) -> List[str]:
+        return self.mark_errors + self.sweep_errors + self.freelist_errors
+
+    @property
     def ok(self) -> bool:
-        return not (self.mark_errors or self.sweep_errors
-                    or self.freelist_errors)
+        return not self.problems
 
     def raise_if_failed(self) -> None:
-        if not self.ok:
-            problems = (self.mark_errors + self.sweep_errors
-                        + self.freelist_errors)
+        problems = self.problems
+        if problems:
             preview = "; ".join(problems[:5])
             raise AssertionError(
                 f"hardware GC verification failed "

@@ -84,6 +84,7 @@ class DRAMController:
         if name is None:
             name = self._ev_names[req.source] = f"dram.{req.source}"
         event = Event(self.sim, name=name)
+        # Row-interleaved mapping: consecutive rows hit different banks.
         row_index = req.addr // self._row_bytes
         queue = self._writes if req.kind is AccessKind.WRITE else self._reads
         queue.append((req, event, row_index % self._n_banks,
@@ -103,11 +104,6 @@ class DRAMController:
         return len(self._reads) + len(self._writes)
 
     # -- scheduling ----------------------------------------------------------
-
-    def _bank_and_row(self, addr: int) -> Tuple[int, int]:
-        """Row-interleaved mapping: consecutive rows hit different banks."""
-        row_index = addr // self.config.row_bytes
-        return row_index % self.config.n_banks, row_index // self.config.n_banks
 
     def _scan(self, queue, limit: int, now: int):
         """Oldest ready entry, oldest ready row-hit, and next bank-free time.

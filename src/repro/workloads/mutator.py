@@ -20,9 +20,9 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
+from repro.core.concurrent.collect import ConcurrentCycle, ConcurrentGCResult
 from repro.core.config import GCUnitConfig, HardwareGCResult
 from repro.core.unit import GCUnit
-from repro.heap.layout import ObjectShape
 from repro.swgc.cpu import CPUConfig
 from repro.swgc.marksweep import SoftwareCollector, SoftwareGCResult
 from repro.workloads.graphgen import BuiltHeap
@@ -264,7 +264,8 @@ class MutatorModel:
         self.conc_period = conc_period
         self.relocate_blocks = relocate_blocks
         self._sw: Optional[SoftwareCollector] = None
-        self.last_gc_result: Union[SoftwareGCResult, HardwareGCResult, None] = None
+        self.last_gc_result: Union[SoftwareGCResult, HardwareGCResult,
+                                   ConcurrentGCResult, None] = None
 
     # -- one mutator phase -------------------------------------------------
 
@@ -311,17 +312,28 @@ class MutatorModel:
     # -- one collection ---------------------------------------------------------
 
     def collect_once(self) -> GCPauseRecord:
+        """One collection with the configured collector.
+
+        A concurrent cycle races a fresh mutator: the pause the timeline
+        records is handshake + sweep only; the marking span that
+        overlapped the application rides along in
+        ``concurrent_mark_cycles`` for reporting.
+        """
         heap = self.heap
+        concurrent = self.collector == "concurrent"
         if self.collector == "sw":
             if self._sw is None:
                 self._sw = SoftwareCollector(heap, cpu_config=self.cpu_config)
-            result: Union[SoftwareGCResult, HardwareGCResult] = \
-                self._sw.collect()
-        elif self.collector == "concurrent":
-            return self._collect_concurrent()
+            result = self._sw.collect()
+        elif concurrent:
+            mutator = ConcurrentMutator(
+                self.built, n_ops=self.conc_ops, period=self.conc_period,
+                seed=self.rng.randrange(2 ** 31))
+            result = ConcurrentCycle(heap, self.unit_config, mutator,
+                                     relocate_blocks=self.relocate_blocks
+                                     ).run()
         else:
-            unit = GCUnit(heap, self.unit_config)
-            result = unit.collect()
+            result = GCUnit(heap, self.unit_config).collect()
         self.last_gc_result = result
         live = heap.reachable()
         heap.prune_dead(live)
@@ -329,40 +341,13 @@ class MutatorModel:
         return GCPauseRecord(
             index=heap.gc_count - 1,
             start_cycle=0,  # placed on the timeline by run()
-            mark_cycles=result.mark_cycles,
+            mark_cycles=(result.handshake_cycles if concurrent
+                         else result.mark_cycles),
             sweep_cycles=result.sweep_cycles,
             objects_marked=result.objects_marked,
             cells_freed=result.cells_freed,
-        )
-
-    def _collect_concurrent(self) -> GCPauseRecord:
-        """One concurrent cycle with a fresh mutator racing the mark.
-
-        The pause the timeline records is handshake + sweep only; the
-        marking span that overlapped the application rides along in
-        ``concurrent_mark_cycles`` for reporting.
-        """
-        from repro.core.concurrent.collect import ConcurrentCycle
-
-        heap = self.heap
-        mutator = ConcurrentMutator(
-            self.built, n_ops=self.conc_ops, period=self.conc_period,
-            seed=self.rng.randrange(2 ** 31))
-        cycle = ConcurrentCycle(heap, self.unit_config, mutator,
-                                relocate_blocks=self.relocate_blocks)
-        result = cycle.run(GCUnit(heap, self.unit_config))
-        self.last_gc_result = result
-        live = heap.reachable()
-        heap.prune_dead(live)
-        heap.complete_gc_cycle()
-        return GCPauseRecord(
-            index=heap.gc_count - 1,
-            start_cycle=0,  # placed on the timeline by run()
-            mark_cycles=result.handshake_cycles,
-            sweep_cycles=result.sweep_cycles,
-            objects_marked=result.objects_marked,
-            cells_freed=result.cells_freed,
-            concurrent_mark_cycles=result.concurrent_cycles,
+            concurrent_mark_cycles=(result.concurrent_cycles if concurrent
+                                    else 0),
         )
 
     # -- full run -----------------------------------------------------------------

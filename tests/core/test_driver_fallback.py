@@ -1,0 +1,100 @@
+"""The supervised driver's fallback contract, in both collection modes.
+
+Whatever aborts the hardware collection — a model error mid-collection or
+a software check that fails after it — ``run_gc_safe`` must take the same
+way out: count the fallback once in the stats and in the FALLBACKS
+register, leave the unit READY/IDLE, name the cause, and finish on the
+software collector with the live set equal to the pre-GC oracle. A check
+that also fails after the software collector (a double fault) must say
+that the fallback failed, and why the fallback was taken.
+"""
+
+import pytest
+
+from repro.core.config import GCUnitConfig
+from repro.core.driver import HWGCDriver
+from repro.core.mmio import Command, Reg, Status
+from repro.core.unit import GCUnit
+from repro.heap.verify import HeapVerifier
+from repro.workloads import DACAPO_PROFILES, HeapGraphBuilder
+from repro.workloads.mutator import ConcurrentMutator
+
+MODES = ["stw", "concurrent"]
+
+
+def _supervised(mode):
+    """A fresh small heap, its pre-GC oracle, and a ready-to-call
+    ``run_gc_safe`` for ``mode``."""
+    built = HeapGraphBuilder(DACAPO_PROFILES["luindex"], scale=0.008,
+                             seed=13).build()
+    heap = built.heap
+    oracle = heap.reachable()
+    driver = HWGCDriver(heap, GCUnitConfig())
+    driver.init_device()
+
+    def run():
+        if mode == "stw":
+            return driver.run_gc_safe()
+        return driver.run_gc_safe(
+            mode="concurrent",
+            mutator=ConcurrentMutator(built, n_ops=80, seed=3),
+            relocate_blocks=2)
+
+    return heap, oracle, driver, run
+
+
+def _model_error(monkeypatch):
+    def broken_sweep(self):
+        raise RuntimeError("sweeper wedged")
+
+    monkeypatch.setattr(GCUnit, "sweep", broken_sweep)
+    return "hardware model error: RuntimeError: sweeper wedged"
+
+
+def _failed_check(monkeypatch, always=False):
+    """One free-list error on the first check (or on every check)."""
+    original = HeapVerifier.check_free_lists
+    calls = []
+
+    def flaky(self, report=None):
+        report = original(self, report=report)
+        calls.append(1)
+        if always or len(calls) == 1:
+            report.freelist_errors.append("injected free-list error")
+        return report
+
+    monkeypatch.setattr(HeapVerifier, "check_free_lists", flaky)
+    return "verification failed (1 problems)"
+
+
+TRIGGERS = {"model_error": _model_error, "failed_check": _failed_check}
+
+
+@pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+@pytest.mark.parametrize("mode", MODES)
+def test_fallback_contract(monkeypatch, mode, trigger):
+    heap, oracle, driver, run = _supervised(mode)
+    before = heap.memsys.stats.get("driver.fallbacks")
+    expected_reason = TRIGGERS[trigger](monkeypatch)
+    safe = run()
+    assert safe.outcome == "fallback"
+    assert safe.reason() == expected_reason
+    assert safe.stall is None
+    assert safe.result is not None  # the software net did collect
+    assert heap.memsys.stats.get("driver.fallbacks") == before + 1
+    assert driver.mmio.read(Reg.FALLBACKS) == 1
+    assert driver.mmio.status == Status.READY
+    assert driver.mmio.read(Reg.COMMAND) == int(Command.IDLE)
+    assert heap.reachable() == oracle
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_double_fault_names_the_software_fallback(monkeypatch, mode):
+    _heap, _oracle, _driver, run = _supervised(mode)
+    reason = _failed_check(monkeypatch, always=True)
+    with pytest.raises(AssertionError) as excinfo:
+        run()
+    message = str(excinfo.value)
+    assert "software fallback" in message
+    assert reason in message
+    assert "hardware GC verification failed" not in message
