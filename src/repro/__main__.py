@@ -328,16 +328,22 @@ def _cmd_fleet(args) -> int:
     # Count constraints first: the shared DRAM tax divides by --units and
     # the replay horizon multiplies by --queries, so zero/negative values
     # crash deep in the simulation with errors that name neither the flag
-    # nor the bound. Mirror the policy-validation style: exit 2, state
-    # the constraint.
-    for flag, value, minimum in (("--units", args.units, 1),
-                                 ("--tenants", args.tenants, 1),
-                                 ("--queries", args.queries, 1),
-                                 ("--warmup", args.warmup, 0),
-                                 ("--gcs", args.gcs, 1)):
-        if value < minimum:
-            print(f"{flag} must be at least {minimum} (got {value})",
-                  file=sys.stderr)
+    # nor the bound (a negative --dram-tax shrinks pauses into ill-formed
+    # windows; a negative --shed-intervals silently meant "never shed").
+    # Mirror the policy-validation style: exit 2, state the constraint.
+    # Each check is written so that NaN fails it too.
+    for flag, value, bound, ok in (
+            ("--units", args.units, "at least 1", args.units >= 1),
+            ("--tenants", args.tenants, "at least 1", args.tenants >= 1),
+            ("--queries", args.queries, "at least 1", args.queries >= 1),
+            ("--warmup", args.warmup, "at least 0", args.warmup >= 0),
+            ("--gcs", args.gcs, "at least 1", args.gcs >= 1),
+            ("--scale", args.scale, "greater than 0", args.scale > 0),
+            ("--dram-tax", args.dram_tax, "at least 0", args.dram_tax >= 0),
+            ("--shed-intervals", args.shed_intervals, "at least 0",
+             args.shed_intervals >= 0)):
+        if not ok:
+            print(f"{flag} must be {bound} (got {value})", file=sys.stderr)
             return 2
     policies = [p.strip() for p in args.policy.split(",") if p.strip()]
     if not policies:

@@ -4,9 +4,9 @@ The balancer is deliberately dumb — uniform random spray, no health
 checks, no pause awareness — because the figures measure what the *GC
 policies* do to the tail, and a smart balancer would mask it. One global
 stream (query ``g`` arrives at ``g * interval_cycles``) is assigned
-tenant-by-tenant from a seed-derived RNG, so any per-tenant slice is
-recomputable without materializing the others: exactly what the
-per-tenant shard/cache cells need.
+tenant-by-tenant from a seed-derived RNG, so every per-tenant shard/cache
+cell recomputes the same assignment, and one pass over it cuts every
+tenant's slice.
 """
 
 from __future__ import annotations
@@ -22,20 +22,26 @@ def spray(n_queries: int, n_tenants: int, seed: int) -> List[int]:
 
 
 def tenant_arrivals(assignments: Sequence[int], interval_cycles: int,
-                    tenant: int, warmup: int) -> Tuple[List[int], int]:
-    """One tenant's slice of the global stream.
+                    n_tenants: int,
+                    warmup: int) -> List[Tuple[List[int], int]]:
+    """Every tenant's slice of the global stream, in one pass.
 
-    Returns ``(arrival cycles, n_warmup)`` where ``n_warmup`` counts the
-    tenant's arrivals that fall inside the fleet-wide warm-up window (the
-    first ``warmup`` *global* queries). Because arrivals are assigned in
-    global order, those are exactly the tenant's first ``n_warmup``
-    arrivals — the form :class:`~repro.workloads.latency.QueryReplay`
-    consumes. A tenant the spray never picked gets ``([], 0)``.
+    Entry ``t`` is ``(arrival cycles, n_warmup)`` for tenant ``t``, where
+    ``n_warmup`` counts the tenant's arrivals that fall inside the
+    fleet-wide warm-up window (the first ``warmup`` *global* queries).
+    Because arrivals are assigned in global order, those are exactly the
+    tenant's first ``n_warmup`` arrivals — the form
+    :class:`~repro.workloads.latency.QueryReplay` consumes. A tenant the
+    spray never picked gets ``([], 0)``.
     """
-    arrivals = [g * interval_cycles for g, t in enumerate(assignments)
-                if t == tenant]
-    n_warmup = sum(1 for t in assignments[:warmup] if t == tenant)
-    return arrivals, n_warmup
+    slices: List[List[int]] = [[] for _ in range(n_tenants)]
+    appends = [arrivals.append for arrivals in slices]
+    n_warmup = [0] * n_tenants
+    for g, t in enumerate(assignments):
+        appends[t](g * interval_cycles)
+    for t in assignments[:warmup]:
+        n_warmup[t] += 1
+    return list(zip(slices, n_warmup))
 
 
 def offline_split(arrivals: Sequence[int],

@@ -38,7 +38,7 @@ from repro.workloads.latency import (
     QueryReplay,
     ReplayResult,
     draw_service_times,
-    percentile_summary,
+    latency_summary,
 )
 
 #: Column schema of the fleet SLO table. ``fleet_summary_rows`` and the
@@ -75,7 +75,7 @@ class TenantReport:
     tenant: TenantSpec
     policy: str
     replay: ReplayResult
-    #: ``percentile_summary`` of the serviced post-warm-up records, or
+    #: ``latency_summary`` of the serviced post-warm-up queries, or
     #: ``None`` when the warm-up discarded everything (documented
     #: degenerate case: latency cells render blank, counters still hold).
     summary: Optional[Dict[str, float]]
@@ -213,10 +213,11 @@ def simulate_fleet(
     # A tenant's arrivals and service draws depend on neither the policy
     # nor its timeline (shed queries draw too), so every policy replays
     # the same lists: one slice and one draw per tenant per call.
+    slices = tenant_arrivals(assignments, interval, spec.n_tenants,
+                             spec.warmup)
     streams: Dict[int, Tuple[List[int], int, List[int]]] = {}
     for index in tenant_indices:
-        arrivals, n_warmup = tenant_arrivals(assignments, interval, index,
-                                             spec.warmup)
+        arrivals, n_warmup = slices[index]
         streams[index] = (arrivals, n_warmup, draw_service_times(
             len(arrivals), service, SERVICE_SIGMA, roster[index].seed))
     reports: Dict[Tuple[int, str], TenantReport] = {}
@@ -261,9 +262,9 @@ def simulate_fleet(
                     f"tenant {index} under {policy}: arrived "
                     f"{replay.arrived} != completed {replay.completed} + "
                     f"in_flight {replay.in_flight} + shed {replay.shed}")
-            summary = (percentile_summary(replay.records,
-                                          percentiles=(50.0, 99.0, 99.9))
-                       if replay.records else None)
+            summary = (latency_summary(replay.sorted_latencies(),
+                                       percentiles=(50.0, 99.0, 99.9))
+                       if replay.index else None)
             reports[(index, policy)] = TenantReport(
                 tenant=tenant,
                 policy=policy,

@@ -70,6 +70,15 @@ class FleetSpec:
             raise ValueError("fleet needs at least one tenant")
         if self.n_units < 1:
             raise ValueError("fleet needs at least one GC unit")
+        if not self.scale > 0:
+            raise ValueError(f"heap scale must be positive (got "
+                             f"{self.scale})")
+        if not self.dram_tax >= 0:
+            raise ValueError(f"DRAM tax cannot be negative (got "
+                             f"{self.dram_tax})")
+        if self.shed_backlog_intervals < 0:
+            raise ValueError("shed backlog cannot be negative "
+                             "(0 disables shedding)")
         if self.failover_backoff_cycles < 1:
             raise ValueError("failover backoff must be at least one cycle")
         if self.failover_retries < 0:

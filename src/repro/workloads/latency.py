@@ -25,6 +25,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 from repro.workloads.mutator import MutatorRunResult
@@ -52,16 +53,31 @@ class QueryRecord:
 class ReplayResult:
     """Outcome of replaying an explicit arrival schedule.
 
-    ``records`` holds the post-warm-up *serviced* queries (shed queries
-    never execute and leave no record); the counters account for every
-    arrival exactly once: ``arrived == completed + in_flight + shed``.
+    The post-warm-up *serviced* queries are held as four parallel
+    columns (shed queries never execute and leave no entry); the
+    counters account for every arrival exactly once:
+    ``arrived == completed + in_flight + shed``. A replay builds no
+    object per query: :attr:`records` materialises the rows as
+    :class:`QueryRecord` only when asked.
     """
 
-    records: List[QueryRecord]
+    index: List[int]        # arrival index of each serviced query
+    intended: List[int]     # its intended start, cycles
+    completion: List[int]
+    near_gc: List[bool]
     arrived: int
     completed: int  # serviced with completion <= horizon (incl. warm-up)
     in_flight: int  # serviced but still running at the horizon
     shed: int       # dropped by the backlog admission check
+
+    @property
+    def records(self) -> List[QueryRecord]:
+        return [QueryRecord(*row) for row in zip(
+            self.index, self.intended, self.completion, self.near_gc)]
+
+    def sorted_latencies(self) -> List[int]:
+        """The serviced queries' latencies in cycles, ascending."""
+        return sorted(map(sub, self.completion, self.intended))
 
     @property
     def conserved(self) -> bool:
@@ -111,7 +127,7 @@ class QueryReplay:
         self.seed = seed
         # One period of the timeline, as parallel start/end lists; ends
         # are sorted (``_tile_pauses`` rejects anything else), which is
-        # what the bisected lookup relies on.
+        # what the bisected re-seek and the forward cursor rely on.
         self._period = run.total_cycles
         pauses = self._tile_pauses(self._period)
         self._starts = [start for start, _end in pauses]
@@ -128,8 +144,8 @@ class QueryReplay:
         through a pause it sits inside), so it is rejected here, at
         construction, naming the first offending pause. So is a run whose
         pauses cover the entire window: with no mutator time for service
-        to progress, ``_advance_through_pauses`` would spin forever
-        hopping from one tiled pause straight into the next.
+        to progress, :meth:`replay`'s walk would spin forever hopping
+        from one tiled pause straight into the next.
         """
         base = [(s, e) for kind, s, e in self.run.timeline() if kind == "gc"]
         if not base or period <= 0:
@@ -163,7 +179,8 @@ class QueryReplay:
 
         ``divmod`` places ``t`` in its epoch (which repetition of the run)
         and bisection finds the pause within it; past the epoch's last
-        pause the answer is the next epoch's first.
+        pause the answer is the next epoch's first. :meth:`replay` calls
+        it only to re-seek its cursor past an idle gap.
         """
         period = self._period
         epoch, phase = divmod(t, period)
@@ -171,32 +188,6 @@ class QueryReplay:
         if i == len(self._ends):
             return 0, (epoch + 1) * period
         return i, epoch * period
-
-    def _advance_through_pauses(self, t: int, work: int) -> int:
-        """Completion time of ``work`` cycles of service starting at ``t``,
-        frozen during GC pauses.
-
-        One :meth:`_pause_after` lookup, then a walk pause by pause,
-        wrapping into the next epoch past the last one, only while the
-        work spans pauses. A pause-free timeline (e.g. a crashed tenant
-        whose collections were all cancelled) serves undisturbed.
-        """
-        starts, ends = self._starts, self._ends
-        if not ends:
-            return t + work
-        i, offset = self._pause_after(t)
-        while True:
-            start = starts[i] + offset
-            if t < start:
-                available = start - t
-                if work <= available:
-                    return t + work
-                work -= available
-            t = ends[i] + offset  # reached the pause: wait it out
-            i += 1
-            if i == len(ends):
-                i = 0
-                offset += self._period
 
     def replay(
         self,
@@ -231,29 +222,64 @@ class QueryReplay:
         elif len(services) != len(arrivals):
             raise ValueError(f"{len(services)} service times for "
                              f"{len(arrivals)} arrivals")
-        advance = self._advance_through_pauses
-        records: List[QueryRecord] = []
+        starts, ends, period = self._starts, self._ends, self._period
+        n_pauses = len(ends)
+        # The cursor: pause ``i`` shifted by ``offset`` is the tiled
+        # window [p_start, p_end); every window before it ends at or
+        # before the last service walk. Service starts never decrease, so
+        # the cursor only moves forward: by the walk below, or by one
+        # ``_pause_after`` re-seek when a start jumps past its window. A
+        # pause-free timeline (e.g. a crashed tenant whose collections
+        # were all cancelled) has an unreachable window and serves
+        # undisturbed.
+        i = offset = 0
+        p_start = p_end = math.inf
+        if n_pauses:
+            p_start, p_end = starts[0], ends[0]
+        if horizon is None:
+            horizon = math.inf
+        if offline_after_cycle is None:
+            offline_after_cycle = math.inf
+        if shed_backlog_cycles is None:
+            shed_backlog_cycles = math.inf
+        index: List[int] = []
+        intended_col: List[int] = []
+        completion_col: List[int] = []
+        near_gc_col: List[bool] = []
         prev_completion = 0
         prev_intended = 0
         prev_near_gc = False
         completed = in_flight = shed = 0
-        for i, intended in enumerate(arrivals):
+        for g, intended in enumerate(arrivals):
             if intended < prev_intended:
                 raise ValueError(
                     f"arrival schedule must be non-decreasing: "
-                    f"arrivals[{i}] == {intended} < {prev_intended}")
+                    f"arrivals[{g}] == {intended} < {prev_intended}")
             prev_intended = intended
-            if (offline_after_cycle is not None
-                    and intended >= offline_after_cycle):
+            if (intended >= offline_after_cycle
+                    or prev_completion - intended > shed_backlog_cycles):
                 shed += 1
                 continue
-            if (shed_backlog_cycles is not None
-                    and prev_completion - intended > shed_backlog_cycles):
-                shed += 1
-                continue
-            service = services[i]
-            start = max(intended, prev_completion)
-            completion = advance(start, service)
+            service = services[g]
+            start = intended if intended > prev_completion \
+                else prev_completion
+            if p_end <= start:
+                i, offset = self._pause_after(start)
+                p_start, p_end = starts[i] + offset, ends[i] + offset
+            # Walk while the work reaches the cursor's window. A start
+            # exactly at p_start is inside the pause, even for zero work:
+            # it waits the pause out.
+            t, work = start, service
+            while not (t < p_start and work <= p_start - t):
+                if t < p_start:
+                    work -= p_start - t
+                t = p_end
+                i += 1
+                if i == n_pauses:
+                    i = 0
+                    offset += period
+                p_start, p_end = starts[i] + offset, ends[i] + offset
+            completion = t + work
             # "The colors indicate whether a query was close to a pause":
             # either it absorbed a pause directly, or it queued behind a
             # pause-delayed predecessor (ordinary queueing doesn't count).
@@ -262,15 +288,19 @@ class QueryReplay:
             )
             prev_completion = completion
             prev_near_gc = near_gc
-            if horizon is not None and completion > horizon:
+            if completion > horizon:
                 in_flight += 1
             else:
                 completed += 1
-            if i >= warmup:
-                records.append(QueryRecord(i, intended, completion, near_gc))
-        return ReplayResult(records=records, arrived=len(arrivals),
-                            completed=completed, in_flight=in_flight,
-                            shed=shed)
+            if g >= warmup:
+                index.append(g)
+                intended_col.append(intended)
+                completion_col.append(completion)
+                near_gc_col.append(near_gc)
+        return ReplayResult(index=index, intended=intended_col,
+                            completion=completion_col, near_gc=near_gc_col,
+                            arrived=len(arrivals), completed=completed,
+                            in_flight=in_flight, shed=shed)
 
 
 class QuerySimulator(QueryReplay):
@@ -302,32 +332,40 @@ def latency_cdf(records: Sequence[QueryRecord]) -> List[Tuple[float, float]]:
 
 
 def _sorted_latency_cycles(records: Sequence[QueryRecord]) -> List[int]:
-    """The records' latencies in cycles, ascending; raises on none."""
-    latencies = sorted(r.completion - r.intended_start for r in records)
-    if not latencies:
-        raise ValueError("no records")
-    return latencies
+    """The records' latencies in cycles, ascending."""
+    return sorted(r.completion - r.intended_start for r in records)
 
 
 def _nearest_rank_ms(latencies: Sequence[int], p: float) -> float:
-    """Nearest-rank ``p``-th percentile of sorted cycle latencies, in ms."""
+    """Nearest-rank ``p``-th percentile of sorted cycle latencies, in ms;
+    raises on none."""
+    if not latencies:
+        raise ValueError("no records")
     rank = max(1, math.ceil(p / 100.0 * len(latencies)))
     return latencies[rank - 1] / 1e6
+
+
+def latency_summary(
+    latencies: Sequence[int],
+    percentiles: Sequence[float] = (50.0, 90.0, 99.0, 99.9),
+) -> dict:
+    """{"p50": ms, ..., "max": ms} of ascending cycle latencies.
+
+    Only the reported ranks are converted to milliseconds (the same
+    floats ``QueryRecord.latency_ms`` gives). The fleet passes
+    :meth:`ReplayResult.sorted_latencies` straight in.
+    """
+    out = {f"p{p:g}": _nearest_rank_ms(latencies, p) for p in percentiles}
+    out["max"] = _nearest_rank_ms(latencies, 100.0)
+    return out
 
 
 def percentile_summary(
     records: Sequence[QueryRecord],
     percentiles: Sequence[float] = (50.0, 90.0, 99.0, 99.9),
 ) -> dict:
-    """{"p50": ms, ..., "max": ms} latency summary of a query run.
-
-    Sorts integer cycle latencies and converts only the reported ranks
-    to milliseconds (the same floats ``QueryRecord.latency_ms`` gives).
-    """
-    latencies = _sorted_latency_cycles(records)
-    out = {f"p{p:g}": _nearest_rank_ms(latencies, p) for p in percentiles}
-    out["max"] = latencies[-1] / 1e6
-    return out
+    """:func:`latency_summary` of a query run's records."""
+    return latency_summary(_sorted_latency_cycles(records), percentiles)
 
 
 @dataclass

@@ -38,6 +38,24 @@ class TestCountValidation:
         err = capsys.readouterr().err
         assert f"{flag} must be at least {minimum} (got {bad})" in err
 
+    @pytest.mark.parametrize("flag,bad,message", [
+        ("--scale", "0", "--scale must be greater than 0 (got 0.0)"),
+        ("--scale", "-1", "--scale must be greater than 0 (got -1.0)"),
+        ("--scale", "nan", "--scale must be greater than 0 (got nan)"),
+        ("--dram-tax", "-3", "--dram-tax must be at least 0 (got -3.0)"),
+        ("--shed-intervals", "-1",
+         "--shed-intervals must be at least 0 (got -1)"),
+    ])
+    def test_bad_fleet_parameters_exit_2_in_one_line(self, capsys, flag,
+                                                     bad, message):
+        """Each exits 2 before simulating anything, with the one stderr
+        line naming the flag (not a traceback, and not silently taken as
+        "never shed")."""
+        assert main(["fleet", flag, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
     def test_valid_counts_are_not_rejected_by_the_validator(self, capsys):
         # --warmup 0 is legal (minimum is 0, not 1): the validator must
         # not reject the boundary value.  Smallest possible run.

@@ -5,11 +5,14 @@ import random
 import pytest
 
 from repro.fleet.balancer import spray, tenant_arrivals
+from repro.fleet.faults import FleetFaultSpec
 from repro.fleet.report import derive_schedule, simulate_fleet
 from repro.fleet.spec import FleetSpec
 from repro.fleet.timeline import base_run, tenant_timeline
+from repro.workloads import latency
 from repro.workloads.latency import (
     SERVICE_SIGMA,
+    QueryRecord,
     QueryReplay,
     draw_service_times,
 )
@@ -24,7 +27,8 @@ class TestBalancer:
         assert a == spray(500, 3, seed=4)
         assert a != spray(500, 3, seed=5)
         assert set(a) <= {0, 1, 2}
-        per_tenant = [tenant_arrivals(a, 1000, t, 100) for t in range(3)]
+        per_tenant = tenant_arrivals(a, 1000, 3, 100)
+        assert len(per_tenant) == 3
         assert sum(len(arr) for arr, _w in per_tenant) == 500
         assert sum(w for _arr, w in per_tenant) == 100
         # Arrival cycles are the global slots, strictly increasing.
@@ -32,8 +36,8 @@ class TestBalancer:
             assert arrivals == sorted(set(arrivals))
 
     def test_unpicked_tenant_gets_empty_slice(self):
-        arrivals, warm = tenant_arrivals([0, 0, 0], 1000, tenant=2, warmup=2)
-        assert (arrivals, warm) == ([], 0)
+        slices = tenant_arrivals([0, 0, 0], 1000, n_tenants=3, warmup=2)
+        assert slices == [([0, 1000, 2000], 2), ([], 0), ([], 0)]
 
 
 class TestDedicatedIdentity:
@@ -42,15 +46,15 @@ class TestDedicatedIdentity:
         standalone QueryReplay of its own timeline and arrival slice
         yields — other tenants must have zero effect on it."""
         fleet = simulate_fleet(SPEC, policies=("dedicated",))
-        assignments = spray(SPEC.n_queries, SPEC.n_tenants, SPEC.seed)
+        slices = tenant_arrivals(
+            spray(SPEC.n_queries, SPEC.n_tenants, SPEC.seed),
+            fleet.interval_cycles, SPEC.n_tenants, SPEC.warmup)
         for tenant in SPEC.tenants():
             run = tenant_timeline(
                 base_run(tenant.benchmark, "hw", SPEC.scale, SPEC.seed,
                          SPEC.n_gcs),
                 tenant.phase_frac)
-            arrivals, n_warm = tenant_arrivals(
-                assignments, fleet.interval_cycles, tenant.index,
-                SPEC.warmup)
+            arrivals, n_warm = slices[tenant.index]
             solo = QueryReplay(
                 run, interval_cycles=fleet.interval_cycles,
                 service_mean_cycles=fleet.service_mean_cycles,
@@ -71,6 +75,32 @@ class TestDedicatedIdentity:
         for policy in full.policies:
             assert subset.reports[(1, policy)].row() == \
                 full.reports[(1, policy)].row()
+
+
+class TestNoPerQueryObjects:
+    """The fleet path builds no object per query: a replay holds columns,
+    and ``records`` materialises rows only when asked."""
+
+    def test_fleet_builds_no_query_records(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the fleet path built a QueryRecord")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(latency, "QueryRecord", refuse)
+            clean = simulate_fleet(SPEC)
+            faulted = simulate_fleet(
+                SPEC, policies=("shared",),
+                faults=FleetFaultSpec.parse("slow:u0x2"))
+            replay = clean.reports[(0, "shared")].replay
+            with pytest.raises(AssertionError, match="built a QueryRecord"):
+                replay.records  # the guard is armed
+        assert faulted.reports[(0, "shared")].summary is not None
+        records = replay.records
+        assert records and all(isinstance(r, QueryRecord) for r in records)
+        assert [(r.index, r.intended_start, r.completion, r.near_gc)
+                for r in records] == list(zip(
+                    replay.index, replay.intended, replay.completion,
+                    replay.near_gc))
 
 
 class TestConservation:
@@ -112,10 +142,11 @@ class TestSharedServiceDraws:
             "shed": {"shed_backlog_cycles": 2 * interval},
             "crashed": {"offline_after_cycle": horizon // 2},
         }[case]
-        assignments = spray(SPEC.n_queries, SPEC.n_tenants, SPEC.seed)
+        slices = tenant_arrivals(
+            spray(SPEC.n_queries, SPEC.n_tenants, SPEC.seed), interval,
+            SPEC.n_tenants, SPEC.warmup)
         for tenant in SPEC.tenants():
-            arrivals, n_warm = tenant_arrivals(assignments, interval,
-                                               tenant.index, SPEC.warmup)
+            arrivals, n_warm = slices[tenant.index]
             sim = QueryReplay(
                 tenant_timeline(base_run(tenant.benchmark, "sw",
                                          SPEC.scale, SPEC.seed,

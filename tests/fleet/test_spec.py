@@ -38,6 +38,17 @@ class TestRoster:
         with pytest.raises(ValueError, match="at least one profile"):
             FleetSpec(profiles_cycle=())
 
+    @pytest.mark.parametrize("field,bad,message", [
+        ("scale", 0.0, "heap scale must be positive"),
+        ("scale", -1.0, "heap scale must be positive"),
+        ("scale", float("nan"), "heap scale must be positive"),
+        ("dram_tax", -3.0, "DRAM tax cannot be negative"),
+        ("shed_backlog_intervals", -1, "shed backlog cannot be negative"),
+    ])
+    def test_rejects_out_of_range_parameters(self, field, bad, message):
+        with pytest.raises(ValueError, match=message):
+            FleetSpec(**{field: bad})
+
 
 def synthetic_base(starts_and_durations, mutator=5_000_000):
     run = MutatorRunResult(collector="hw", mutator_cycles=mutator)

@@ -1,10 +1,11 @@
 """Query-latency simulation: pause freezing and coordinated omission."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.latency import (
+    QueryRecord,
     QueryReplay,
     QuerySimulator,
     latency_cdf,
@@ -55,9 +56,19 @@ def linear_pause_after(windows, period, t):
         epoch += 1
 
 
+def next_pause_start(windows, period, t):
+    """The first tiled pause start at or after ``t``."""
+    epoch = t // period
+    while True:
+        for start, _end in windows:
+            if start + epoch * period >= t:
+                return start + epoch * period
+        epoch += 1
+
+
 def linear_advance(windows, period, t, work):
-    """Reference ``_advance_through_pauses``: one linear scan per pause
-    the work meets."""
+    """Completion of ``work`` cycles of service started at ``t``, frozen
+    during pauses: one linear scan per pause the work meets."""
     if not windows:
         return t + work
     while True:
@@ -70,6 +81,39 @@ def linear_advance(windows, period, t, work):
             return t + work
         work -= available
         t = end
+
+
+def reference_replay(windows, period, arrivals, services, warmup=0,
+                     horizon=None, shed_backlog_cycles=None,
+                     offline_after_cycle=None):
+    """Reference ``QueryReplay.replay``: the per-query loop, one
+    independent :func:`linear_advance` per serviced query. Returns
+    ``(records, (arrived, completed, in_flight, shed))``."""
+    records = []
+    prev_completion = 0
+    prev_near_gc = False
+    completed = in_flight = shed = 0
+    for i, (intended, service) in enumerate(zip(arrivals, services)):
+        if (offline_after_cycle is not None
+                and intended >= offline_after_cycle):
+            shed += 1
+            continue
+        if (shed_backlog_cycles is not None
+                and prev_completion - intended > shed_backlog_cycles):
+            shed += 1
+            continue
+        start = max(intended, prev_completion)
+        completion = linear_advance(windows, period, start, service)
+        near_gc = (completion - start > service
+                   or (start > intended and prev_near_gc))
+        prev_completion, prev_near_gc = completion, near_gc
+        if horizon is not None and completion > horizon:
+            in_flight += 1
+        else:
+            completed += 1
+        if i >= warmup:
+            records.append(QueryRecord(i, intended, completion, near_gc))
+    return records, (len(arrivals), completed, in_flight, shed)
 
 
 @st.composite
@@ -163,7 +207,7 @@ class TestEdgeCases:
     """The degenerate inputs the fleet layer now feeds this module."""
 
     def test_pause_covering_entire_window_rejected(self):
-        """No mutator time at all would spin _advance_through_pauses
+        """No mutator time at all would spin the replay's pause walk
         forever; the simulator must refuse at construction."""
         run = MutatorRunResult(collector="sw", mutator_cycles=0)
         run.pauses.append(GCPauseRecord(
@@ -224,8 +268,8 @@ class TestWellFormedTimeline:
         run = windowed_run([(0, 100), (100, 100), (100, 250), (900, 1000)],
                            period=1000)
         sim = QueryReplay(run)
-        assert sim._advance_through_pauses(0, 1) == 251
-        assert sim._advance_through_pauses(899, 2) == 1251
+        assert sim.replay([0], services=[1]).completion == [251]
+        assert sim.replay([899], services=[2]).completion == [1251]
 
 
 class TestPauseLookup:
@@ -245,8 +289,63 @@ class TestPauseLookup:
         i, offset = sim._pause_after(t)
         assert (windows[i][0] + offset, windows[i][1] + offset) == \
             linear_pause_after(windows, period, t)
-        assert sim._advance_through_pauses(t, work) == \
-            linear_advance(windows, period, t, work)
+        assert sim.replay([t], services=[work]).completion == \
+            [linear_advance(windows, period, t, work)]
+
+
+class TestReplayOracle:
+    """The whole replay, one forward cursor over every query, against
+    :func:`reference_replay`'s independent per-query walks."""
+
+    def test_zero_service_at_pause_start_waits_the_pause_out(self):
+        """A start exactly at a pause start is inside the pause: even a
+        zero-work query waits it out (100 -> 200). A fast path testing
+        only ``start + service <= pause start`` would answer 100."""
+        sim = QueryReplay(windowed_run([(100, 200)], period=1000))
+        result = sim.replay([100], services=[0])
+        assert result.completion == [200]
+        assert result.near_gc == [True]
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        timeline=well_formed_timelines(),
+        queries=st.lists(st.tuples(
+            st.one_of(st.integers(0, 60), st.integers(0, 5_000)),
+            st.booleans(),
+            st.one_of(st.integers(0, 40), st.integers(0, 2_000)),
+        ), max_size=40),
+        warmup=st.integers(0, 10),
+        shed=st.one_of(st.none(), st.integers(0, 300)),
+        offline=st.one_of(st.none(), st.integers(0, 20_000)),
+        horizon=st.one_of(st.none(), st.integers(0, 20_000)),
+    )
+    @example(timeline=([(100, 200)], 1000), queries=[(100, False, 0)],
+             warmup=0, shed=None, offline=None, horizon=None)
+    def test_replay_matches_per_query_reference(
+            self, timeline, queries, warmup, shed, offline, horizon):
+        """Each query arrives ``gap`` after the one before, or with
+        ``snap`` at the next tiled pause start from there: arrivals on a
+        pause edge are what a wrong fast path gets wrong."""
+        windows, period = timeline
+        arrivals, services = [], []
+        t = 0
+        for gap, snap, service in queries:
+            t += gap
+            if snap:
+                t = next_pause_start(windows, period, t)
+            arrivals.append(t)
+            services.append(service)
+        result = QueryReplay(windowed_run(windows, period)).replay(
+            arrivals, warmup=warmup, horizon=horizon,
+            shed_backlog_cycles=shed, offline_after_cycle=offline,
+            services=services)
+        records, counters = reference_replay(
+            windows, period, arrivals, services, warmup=warmup,
+            horizon=horizon, shed_backlog_cycles=shed,
+            offline_after_cycle=offline)
+        assert result.records == records
+        assert (result.arrived, result.completed, result.in_flight,
+                result.shed) == counters
 
 
 class TestQueryReplay:
