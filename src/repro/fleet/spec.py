@@ -70,6 +70,14 @@ class FleetSpec:
             raise ValueError("fleet needs at least one tenant")
         if self.n_units < 1:
             raise ValueError("fleet needs at least one GC unit")
+        # 0 still means "derive" for interval_cycles/service_mean_cycles.
+        for field, least in (("n_queries", 1), ("warmup", 0), ("n_gcs", 1),
+                             ("interval_cycles", 0),
+                             ("service_mean_cycles", 0)):
+            value = getattr(self, field)
+            if value < least:
+                raise ValueError(f"{field} must be at least {least} "
+                                 f"(got {value})")
         if not self.scale > 0:
             raise ValueError(f"heap scale must be positive (got "
                              f"{self.scale})")

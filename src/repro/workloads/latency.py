@@ -22,12 +22,13 @@ pause-induced tail two orders of magnitude long — is the reproduced result.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.workloads._stdlib_stream import floored_exp_ints, normal_deviates
 from repro.workloads.mutator import MutatorRunResult
 
 
@@ -77,7 +78,10 @@ class ReplayResult:
 
     def sorted_latencies(self) -> List[int]:
         """The serviced queries' latencies in cycles, ascending."""
-        return sorted(map(sub, self.completion, self.intended))
+        latencies = np.array(self.completion, dtype=np.int64)
+        latencies -= np.array(self.intended, dtype=np.int64)
+        latencies.sort()
+        return latencies.tolist()
 
     @property
     def conserved(self) -> bool:
@@ -93,14 +97,16 @@ def draw_service_times(n: int, mean_cycles: int, sigma: float,
     """The first ``n`` service times of the stream seeded by ``seed``.
 
     Lognormal around ``mean_cycles`` with shape ``sigma``, floored at 1000
-    cycles. A replay consumes exactly one per arrival, in arrival order,
-    whether the query is then served or shed, so the list depends on
-    nothing but these four values: the fleet draws it once per tenant and
-    hands the same list to every policy's replay.
+    cycles: ``max(1000, int(rng.lognormvariate(log(mean_cycles), sigma)))``
+    for ``rng = random.Random(seed)``, value for value, drawn in numpy
+    blocks (:mod:`repro.workloads._stdlib_stream`). A replay consumes
+    exactly one per arrival, in arrival order, whether the query is then
+    served or shed, so the list depends on nothing but these four values:
+    the fleet draws it once per tenant and hands the same list to every
+    policy's replay.
     """
-    draw = random.Random(seed).lognormvariate
     mu = math.log(mean_cycles)
-    return [max(1000, int(draw(mu, sigma))) for _ in range(n)]
+    return floored_exp_ints(mu + normal_deviates(n, seed) * sigma, 1000)
 
 
 class QueryReplay:
@@ -378,7 +384,7 @@ class LatencyComparison:
     construction.
     """
 
-    stw: dict  # percentile_summary of the STW run
+    stw: dict  # latency_summary of the STW run
     concurrent: dict
     stw_max_pause_ms: float
     concurrent_max_pause_ms: float
@@ -414,10 +420,13 @@ def compare_stw_concurrent(
     interval = interval_cycles or max(50_000, mean_pause // 6)
     service = service_mean_cycles or max(4_000, mean_pause // 60)
 
+    arrivals = [i * interval for i in range(n_queries)]
+
     def summarize(run: MutatorRunResult) -> dict:
-        sim = QuerySimulator(run, interval_cycles=interval,
-                             service_mean_cycles=service, seed=seed)
-        return percentile_summary(sim.run_queries(n_queries, warmup))
+        result = QueryReplay(run, interval_cycles=interval,
+                             service_mean_cycles=service,
+                             seed=seed).replay(arrivals, warmup=warmup)
+        return latency_summary(result.sorted_latencies())
 
     return LatencyComparison(
         stw=summarize(stw_run),

@@ -44,10 +44,22 @@ class TestRoster:
         ("scale", float("nan"), "heap scale must be positive"),
         ("dram_tax", -3.0, "DRAM tax cannot be negative"),
         ("shed_backlog_intervals", -1, "shed backlog cannot be negative"),
+        ("n_queries", 0, "n_queries must be at least 1"),
+        ("n_queries", -1, "n_queries must be at least 1"),
+        ("warmup", -4, "warmup must be at least 0"),
+        ("n_gcs", 0, "n_gcs must be at least 1"),
+        ("interval_cycles", -5, "interval_cycles must be at least 0"),
+        ("service_mean_cycles", -3,
+         "service_mean_cycles must be at least 0"),
     ])
     def test_rejects_out_of_range_parameters(self, field, bad, message):
         with pytest.raises(ValueError, match=message):
             FleetSpec(**{field: bad})
+
+    def test_zero_schedule_still_means_derive(self):
+        spec = FleetSpec(interval_cycles=0, service_mean_cycles=0, warmup=0,
+                         n_queries=1, n_gcs=1)
+        assert (spec.interval_cycles, spec.service_mean_cycles) == (0, 0)
 
 
 def synthetic_base(starts_and_durations, mutator=5_000_000):

@@ -1,13 +1,21 @@
 """Query-latency simulation: pause freezing and coordinated omission."""
 
+import math
+import random
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.workloads import _stdlib_stream
+from repro.workloads._stdlib_stream import floored_exp_ints, km_accept
 from repro.workloads.latency import (
     QueryRecord,
     QueryReplay,
     QuerySimulator,
+    draw_service_times,
     latency_cdf,
     percentile_summary,
     tail_ratio,
@@ -399,3 +407,98 @@ class TestQueryReplay:
             assert result.shed == 0
         # Latency is measured from intent and is never negative.
         assert all(r.latency_cycles >= 0 for r in result.records)
+
+
+def reference_service_times(n, mean_cycles, sigma, seed):
+    """The service-time stream, one ``lognormvariate`` call per query."""
+    draw = random.Random(seed).lognormvariate
+    mu = math.log(mean_cycles)
+    return [max(1000, int(draw(mu, sigma))) for _ in range(n)]
+
+
+def skewed(real, direction, ulps=1):
+    """``real`` moved ``ulps`` ulps towards ``direction``: a libm that
+    rounds differently from the one :mod:`math` uses."""
+    def wrong(a):
+        out = real(a)
+        for _ in range(ulps):
+            out = np.nextafter(out, direction)
+        return out
+    return wrong
+
+
+class TestServiceTimeStream:
+    """``draw_service_times`` is the stdlib's lognormal stream, value for
+    value, and stays so where ``np.log``/``np.exp`` disagree with libm."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        n=st.one_of(st.integers(0, 2), st.integers(0, 1200)),
+        mean=st.one_of(st.integers(1, 200_000), st.integers(1, 10**12)),
+        sigma=st.floats(0.0, 4.0),
+        seed=st.one_of(st.integers(), st.text()),
+        block=st.sampled_from([None, 1, 3, 64]),
+    )
+    @example(n=1, mean=120_000, sigma=0.35, seed=0, block=1)
+    def test_matches_lognormvariate(self, n, mean, sigma, seed, block):
+        with mock.patch.object(_stdlib_stream, "BLOCK_ATTEMPTS",
+                               block or _stdlib_stream.BLOCK_ATTEMPTS):
+            drawn = draw_service_times(n, mean, sigma, seed)
+        assert drawn == reference_service_times(n, mean, sigma, seed)
+        assert all(type(v) is int for v in drawn)
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_log_band_redecides_acceptance_with_math_log(self, monkeypatch,
+                                                         direction):
+        """Each ``zz`` sits on, one ulp above or one ulp below
+        ``-math.log(u2)``; an ``np.log`` one ulp off moves the boundary
+        and must not move a decision."""
+        u2 = [0.3, 0.5, 0.7, 0.123456789, 0.999, 1e-9]
+        rows = [(b, u) for u in u2 for b in (
+            -math.log(u),
+            math.nextafter(-math.log(u), math.inf),
+            math.nextafter(-math.log(u), -math.inf))]
+        zz = np.array([b for b, _u in rows])
+        u2s = np.array([u for _b, u in rows])
+        expected = [b <= -math.log(u) for b, u in rows]
+        monkeypatch.setattr(np, "log", skewed(np.log, direction))
+        assert (zz <= -np.log(u2s)).tolist() != expected  # the trap is set
+        assert km_accept(zz, u2s).tolist() == expected
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_exp_band_truncates_with_math_exp(self, monkeypatch,
+                                              direction):
+        """Each ``x`` is within a few ulps of ``log(N)``, so ``exp(x)``
+        straddles an integer; an ``np.exp`` two ulps off must not move
+        an ``int``. Past 2**52, and for the non-finite, ``math.exp``
+        decides and raises as the stdlib does."""
+        xs = []
+        for n in (1_000, 4_099, 120_000, 7_654_321, 2**40 + 1):
+            x = math.log(n)
+            for _ in range(3):
+                x = math.nextafter(x, -math.inf)
+            for _ in range(7):
+                xs.append(x)
+                x = math.nextafter(x, math.inf)
+        xs += [50.0, 200.0, -math.inf, -745.2]
+        expected = [max(1000, int(math.exp(x))) for x in xs]
+        assert expected[-4] == int(math.exp(50.0)) > 2**63  # a big int
+        monkeypatch.setattr(np, "exp", skewed(np.exp, direction, ulps=2))
+        naive = np.maximum(np.trunc(np.exp(np.array(xs))), 1000.0)
+        assert naive.tolist() != expected  # the trap is set
+        assert floored_exp_ints(np.array(xs), 1000) == expected
+
+    @pytest.mark.parametrize("x,error", [
+        (1000.0, OverflowError), (math.nan, ValueError)])
+    def test_exp_raises_where_the_stdlib_does(self, x, error):
+        with pytest.raises(error):
+            floored_exp_ints(np.array([5.0, x]), 1000)
+
+    def test_sorted_latencies_are_ascending_ints(self):
+        sim = QueryReplay(windowed_run([(100, 200)], period=1000))
+        result = sim.replay([0, 90, 300, 310], services=[50, 30, 5, 0])
+        latencies = result.sorted_latencies()
+        assert latencies == sorted(
+            r.completion - r.intended_start for r in result.records)
+        assert all(type(v) is int for v in latencies)
+        assert sim.replay([]).sorted_latencies() == []
