@@ -21,10 +21,14 @@ Three detection rules, all evaluated outside the simulation's event flow:
 Determinism: supervision runs the simulation in bounded slices via
 ``sim.run(until=now + check_interval)`` and inspects state *between*
 slices. It schedules no events and emits no trace records on the
-fault-free path, so a supervised run is bit-identical to an unsupervised
-one — the clock merely stops at the first slice boundary at/after the
-completion trigger, which only matters to code reading ``sim.now`` after
-the collection (the driver does not).
+fault-free path. The clock stops at the first slice boundary at/after
+the completion trigger, so callers account cycles from the trigger's
+stamp (``completed_at``), and a supervised stop-the-world collection
+reports the cycles of an unsupervised one. Code that *acts* at
+``sim.now`` after a wait sees the boundary, not the trigger: a
+supervised concurrent mark requests the traversal's stop at the slice
+boundary after the mutator quiesced, so its handshake and mark cycles
+overshoot the bare run's by the rest of that slice (DESIGN §11.2).
 
 Zero-cost disabled path: components consult ``stats.watchdog`` (class
 default ``None``) before every heartbeat or outstanding-request note, so

@@ -11,7 +11,7 @@ that tenant's slice.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,10 +26,17 @@ def spray(n_queries: int, n_tenants: int, seed: int) -> List[int]:
     (:mod:`repro.workloads._stdlib_stream`). As with the stdlib,
     ``n_tenants < 1`` raises ``ValueError`` (here even for no queries).
     """
-    return randbelow(n_queries, n_tenants, f"fleet-balancer:{seed}").tolist()
+    return spray_array(n_queries, n_tenants, seed).tolist()
 
 
-def tenant_arrivals(assignments: Sequence[int], interval_cycles: int,
+def spray_array(n_queries: int, n_tenants: int, seed: int) -> np.ndarray:
+    """:func:`spray` as an array, the form :func:`tenant_arrivals` reads
+    without a list-to-array conversion."""
+    return randbelow(n_queries, n_tenants, f"fleet-balancer:{seed}")
+
+
+def tenant_arrivals(assignments: Union[Sequence[int], np.ndarray],
+                    interval_cycles: int,
                     n_tenants: int,
                     warmup: int) -> List[Tuple[List[int], int]]:
     """Every tenant's slice of the global stream.

@@ -31,7 +31,7 @@ from repro.fleet.admission import (
 )
 from repro.fleet.faults import FleetFaultSpec
 from repro.fleet.spec import FleetSpec, TenantSpec
-from repro.fleet.balancer import spray, tenant_arrivals
+from repro.fleet.balancer import spray_array, tenant_arrivals
 from repro.fleet.timeline import BaseRunReader, base_run, tenant_timeline
 from repro.workloads.latency import (
     SERVICE_SIGMA,
@@ -206,7 +206,7 @@ def simulate_fleet(
     if faults is not None:
         faults.validate(spec.n_units, spec.n_tenants)
     interval, service = derive_schedule(spec, base_runs)
-    assignments = spray(spec.n_queries, spec.n_tenants, spec.seed)
+    assignments = spray_array(spec.n_queries, spec.n_tenants, spec.seed)
     horizon = spec.n_queries * interval
     shed_cycles = (spec.shed_backlog_intervals * interval
                    if spec.shed_backlog_intervals > 0 else None)

@@ -9,10 +9,11 @@ deterministically at construction. That makes a build fully reproducible
 from its checkpoint, so this module caches builds:
 
 * an **in-process LRU** (always on, ``DEFAULT_ENTRIES`` builds) holding
-  zlib-compressed pickles — the words snapshot is stored sparsely
-  (nonzero indices + values; generated heaps are ~98% zeros), so both the
-  pickled payload and the compress/decompress work stay a couple of MB
-  per entry regardless of the configured memory size;
+  zlib-compressed pickles — the words snapshot is stored block-sparse
+  (the image's live blocks and their contents; a generated heap fills a
+  few percent of the image's 32 KiB blocks), so both the pickled payload
+  and the compress/decompress work stay a couple of MB per entry
+  regardless of the configured memory size;
 * an optional **on-disk layer**: the ``heap`` kind of
   :mod:`repro.harness.diskcache`'s one store, in the directory
   ``REPRO_HEAP_CACHE`` names (``1`` for ``~/.cache/repro-heaps``;
@@ -38,13 +39,12 @@ import random
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.harness.diskcache import Store, cache_dir_from_env, entry_key
 from repro.heap.heapimage import HeapCheckpoint, ManagedHeap
 from repro.memory.config import MemorySystemConfig
+from repro.memory.memimage import block_span, zeroed_words
 from repro.workloads.graphgen import BuiltHeap, HeapGraphBuilder
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -110,7 +110,9 @@ class HeapBuildCache:
             built = HeapGraphBuilder(profile, scale=scale, seed=seed,
                                      config=config).build()
             checkpoint = built.heap.checkpoint()
-            return built, checkpoint, self._encode(built, checkpoint, config)
+            blocks = built.heap.memsys.phys.live_blocks()
+            return built, checkpoint, self._encode(built, checkpoint, blocks,
+                                                   config)
 
         def load(blob):
             return (*self._reconstruct(blob, profile, scale, seed), blob)
@@ -130,21 +132,22 @@ class HeapBuildCache:
 
     @staticmethod
     def _encode(built: BuiltHeap, checkpoint: HeapCheckpoint,
+                blocks: Iterable[int],
                 config: Optional[MemorySystemConfig]) -> bytes:
-        # Store the words snapshot sparsely: a generated heap's physical
-        # memory is overwhelmingly zeros (typically ~2% occupancy), so
-        # pickling (indices, values) of the nonzero words shrinks the
-        # pre-compression payload from the full memory size to a couple of
-        # MB — which is what makes both the compress here and the decompress
-        # in ``_reconstruct`` cheap. ``checkpoint`` itself is returned to
-        # the caller unmodified; only the pickled copy drops the dense
-        # array.
+        # Store the words snapshot block-sparse: ``blocks`` covers every
+        # nonzero word of the just-taken checkpoint (the image's live
+        # blocks), a few percent of the image, so the pre-compression
+        # payload is a couple of MB whatever the memory size — which is
+        # what makes both the compress here and the decompress in
+        # ``_reconstruct`` cheap. ``checkpoint`` itself is returned to the
+        # caller unmodified; only the pickled copy drops the full array.
         words = checkpoint.words
-        nonzero = np.flatnonzero(words)
+        blocks = sorted(blocks)
         entry = {
             "config": _effective_config(built.profile, built.scale, config),
             "checkpoint": dataclasses.replace(checkpoint, words=None),
-            "words_sparse": (len(words), nonzero, words[nonzero]),
+            "words_blocks": (len(words), blocks,
+                             [words[block_span(b)] for b in blocks]),
             "live": sorted(built.live),
             "garbage": sorted(built.garbage),
             "hot": list(built.hot),
@@ -162,9 +165,11 @@ class HeapBuildCache:
         entry = pickle.loads(zlib.decompress(blob))
         heap = ManagedHeap(config=entry["config"])
         checkpoint: HeapCheckpoint = entry["checkpoint"]
-        n_words, indices, values = entry["words_sparse"]
-        checkpoint.words = np.zeros(n_words, dtype=np.uint64)
-        checkpoint.words[indices] = values
+        n_words, blocks, contents = entry["words_blocks"]
+        words = zeroed_words(n_words)
+        for block, content in zip(blocks, contents):
+            words[block_span(block)] = content
+        checkpoint.words = words
         heap.restore(checkpoint)
         rng = None
         if entry["rng_state"] is not None:

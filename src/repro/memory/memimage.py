@@ -13,7 +13,8 @@ paired.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+import mmap
+from typing import Iterable, List, Set
 
 import numpy as np
 
@@ -21,36 +22,85 @@ from repro.memory.config import WORD_BYTES
 
 _U64_MASK = (1 << 64) - 1
 
-#: Dirty-tracking granularity: 4096 words = 32 KiB per block. A GC run
-#: touches a few percent of the image (mark bits, free-list links, spill
-#: region), so block-sparse restore copies megabytes instead of the full
-#: multi-hundred-MB array — profiling showed the dense ``ndarray.copy``/
-#: ``copyto`` pair was ~40% of a cold ``run_gc_comparison``.
-_BLOCK_SHIFT = 12
-_BLOCK_WORDS = 1 << _BLOCK_SHIFT
+#: Tracking granularity: 4096 words = 32 KiB per block. A generated heap
+#: occupies a few percent of the image (avrora at scale 0.05: 34 of 2,048
+#: blocks of a 64 MiB image) and a GC run writes a few percent more (mark
+#: bits, free-list links, spill region), so snapshots and restores copy
+#: about a megabyte instead of the whole array.
+BLOCK_SHIFT = 12
+BLOCK_WORDS = 1 << BLOCK_SHIFT
+
+
+def zeroed_words(n_words: int) -> np.ndarray:
+    """A lazily zeroed ``uint64`` array of ``n_words`` words.
+
+    The array lives in private anonymous pages: a page is made resident
+    when first written, and reading an untouched one maps the kernel's
+    shared zero page. An array that is mostly zeros therefore costs the
+    memory of the pages written into it. ``np.zeros`` is lazily zeroed
+    too, but numpy advises the kernel to back large arrays with 2 MiB
+    huge pages, so each 32 KiB block copied into one would make 2 MiB
+    resident; these pages are advised against huge pages instead.
+    """
+    buf = mmap.mmap(-1, n_words * WORD_BYTES, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.uint64)
+
+
+def block_span(block: int) -> slice:
+    """The word indices of ``block`` (clipped by numpy at the image end)."""
+    lo = block << BLOCK_SHIFT
+    return slice(lo, lo + BLOCK_WORDS)
+
+
+def _nonzero_blocks(words: np.ndarray) -> Set[int]:
+    """Blocks of ``words`` holding a nonzero word, by one per-block scan.
+
+    Reading a lazily zeroed page does not make it resident, so scanning a
+    mostly-zero :func:`zeroed_words` array costs time but no memory.
+    """
+    n_full = len(words) >> BLOCK_SHIFT
+    full = words[:n_full << BLOCK_SHIFT].reshape(n_full, BLOCK_WORDS)
+    blocks = set(np.flatnonzero(full.any(axis=1)).tolist())
+    if words[n_full << BLOCK_SHIFT:].any():
+        blocks.add(n_full)
+    return blocks
 
 
 class PhysicalMemory:
     """Word-granularity physical memory with atomic-update helpers.
 
-    Mutations are tracked at block granularity (:data:`_BLOCK_WORDS` words)
-    relative to the current *clean point* — the snapshot the image was last
-    taken from or restored to. :meth:`restore` back to that same snapshot
-    copies only the dirty blocks; restoring a foreign snapshot falls back
-    to a dense copy and re-bases the clean point there. The handful of
-    direct ``words[...] = ...`` writers outside this class (the SoA
-    object-view fast path, the page-table bulk mapper) must call
-    :meth:`note_dirty` — everything else funnels through the write helpers
-    here.
+    Snapshots and restores are block-sparse (:data:`BLOCK_WORDS` words a
+    block). The image tracks two block sets relative to its *clean
+    point*, the snapshot it was last taken from or restored to:
+
+    * ``_clean_blocks`` — the blocks of the clean point holding a nonzero
+      word (all of them; the rest of the clean point is zero);
+    * ``_dirty_blocks`` — the blocks written since the clean point.
+
+    Their union, :meth:`live_blocks`, covers every nonzero word of the
+    image — the invariant everything here rests on. :meth:`snapshot`
+    copies only those blocks into a lazily zeroed array; :meth:`restore`
+    of the clean point copies back only the dirty blocks, and of any other
+    snapshot zeroes the live blocks the snapshot lacks and copies the
+    snapshot's nonzero blocks. The handful of direct ``words[...] = ...``
+    writers outside this class (the SoA object-view fast path, the
+    page-table bulk mapper) must call :meth:`note_dirty`: a write it
+    misses is left out of every later snapshot and restore. Everything
+    else funnels through the write helpers here.
     """
 
     def __init__(self, size_bytes: int):
         if size_bytes % WORD_BYTES != 0:
             raise ValueError(f"memory size must be word-aligned: {size_bytes}")
         self.size_bytes = size_bytes
-        self.words = np.zeros(size_bytes // WORD_BYTES, dtype=np.uint64)
-        #: Block indices written since the clean point (see class docstring).
-        self._dirty_blocks: set = set()
+        self.words = zeroed_words(size_bytes // WORD_BYTES)
+        #: Blocks written since the clean point (see class docstring).
+        self._dirty_blocks: Set[int] = set()
+        #: The nonzero blocks of the clean point (none: the image starts
+        #: zero).
+        self._clean_blocks: Set[int] = set()
         #: The snapshot array the image currently equals modulo
         #: ``_dirty_blocks`` (``None`` until the first snapshot/restore).
         self._clean_snap = None
@@ -58,11 +108,15 @@ class PhysicalMemory:
     def note_dirty(self, index: int, count: int = 1) -> None:
         """Record an out-of-band write of ``count`` words at word ``index``."""
         if count == 1:
-            self._dirty_blocks.add(index >> _BLOCK_SHIFT)
+            self._dirty_blocks.add(index >> BLOCK_SHIFT)
         else:
             self._dirty_blocks.update(
-                range(index >> _BLOCK_SHIFT,
-                      ((index + count - 1) >> _BLOCK_SHIFT) + 1))
+                range(index >> BLOCK_SHIFT,
+                      ((index + count - 1) >> BLOCK_SHIFT) + 1))
+
+    def live_blocks(self) -> Set[int]:
+        """Every block of the image that may hold a nonzero word."""
+        return self._clean_blocks | self._dirty_blocks
 
     def _index(self, addr: int) -> int:
         if addr % WORD_BYTES != 0:
@@ -87,7 +141,7 @@ class PhysicalMemory:
             self._index(addr)
         idx = addr // WORD_BYTES
         self.words[idx] = np.uint64(value & _U64_MASK)
-        self._dirty_blocks.add(idx >> _BLOCK_SHIFT)
+        self._dirty_blocks.add(idx >> BLOCK_SHIFT)
 
     # -- atomics (the marker's fetch-or / fetch-and, §IV-A) ---------------
 
@@ -96,7 +150,7 @@ class PhysicalMemory:
         idx = self._index(addr)
         old = int(self.words[idx])
         self.words[idx] = np.uint64((old | mask) & _U64_MASK)
-        self._dirty_blocks.add(idx >> _BLOCK_SHIFT)
+        self._dirty_blocks.add(idx >> BLOCK_SHIFT)
         return old
 
     def fetch_and(self, addr: int, mask: int) -> int:
@@ -104,7 +158,7 @@ class PhysicalMemory:
         idx = self._index(addr)
         old = int(self.words[idx])
         self.words[idx] = np.uint64(old & mask & _U64_MASK)
-        self._dirty_blocks.add(idx >> _BLOCK_SHIFT)
+        self._dirty_blocks.add(idx >> BLOCK_SHIFT)
         return old
 
     # -- bulk access (the tracer's unit-stride reference copies) ----------
@@ -136,36 +190,51 @@ class PhysicalMemory:
     def snapshot(self) -> np.ndarray:
         """A copy of the entire image, for restoring between GC runs.
 
-        The copy becomes the image's clean point: until another snapshot
-        (or a foreign restore) supersedes it, restores back to it are
-        block-sparse.
+        The copy is a lazily zeroed array into which only the live blocks
+        are copied, so it costs (in time and resident memory) what the
+        heap occupies, not the image size. It becomes the image's clean
+        point.
         """
-        snap = self.words.copy()
+        words = self.words
+        snap = zeroed_words(len(words))
+        blocks = set()
+        for block in self.live_blocks():
+            span = block_span(block)
+            if words[span].any():
+                snap[span] = words[span]
+                blocks.add(block)
         self._clean_snap = snap
+        self._clean_blocks = blocks
         self._dirty_blocks.clear()
         return snap
 
     def restore(self, snap: np.ndarray) -> None:
-        """Restore a snapshot taken from this memory.
+        """Restore the image to ``snap`` and make it the clean point.
 
         Restoring the current clean point copies only the blocks written
         since it was established — the common checkpoint/collect/restore/
-        collect pattern of every comparison harness. Any other snapshot is
-        restored densely and becomes the new clean point.
+        collect pattern of every comparison harness. Any other snapshot
+        (an older one, or an array from elsewhere, such as a heap-cache
+        entry) is scanned for its nonzero blocks; the image's live blocks
+        outside that set are zeroed and the set is copied in.
         """
         if snap.shape != self.words.shape:
             raise ValueError("snapshot shape mismatch")
-        dirty = self._dirty_blocks
+        words = self.words
         if snap is self._clean_snap:
-            words = self.words
-            for block in dirty:
-                lo = block << _BLOCK_SHIFT
-                hi = lo + _BLOCK_WORDS
-                words[lo:hi] = snap[lo:hi]
+            for block in self._dirty_blocks:
+                span = block_span(block)
+                words[span] = snap[span]
         else:
-            np.copyto(self.words, snap)
+            blocks = _nonzero_blocks(snap)
+            for block in self.live_blocks() - blocks:
+                words[block_span(block)] = 0
+            for block in blocks:
+                span = block_span(block)
+                words[span] = snap[span]
             self._clean_snap = snap
-        dirty.clear()
+            self._clean_blocks = blocks
+        self._dirty_blocks.clear()
 
     def __repr__(self) -> str:
         return f"PhysicalMemory({self.size_bytes // (1024 * 1024)} MiB)"

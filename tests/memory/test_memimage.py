@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.memimage import PhysicalMemory
+from repro.memory.memimage import BLOCK_WORDS, PhysicalMemory
 
 U64 = (1 << 64) - 1
 
@@ -156,7 +156,8 @@ class TestDirtyBlockRestore:
         mem.restore(foreign)
         assert mem.read_word(0) == 1
         assert mem.read_word(self.SIZE - 8) == 0
-        # And the original snapshot still restores correctly (densely).
+        # And the original snapshot, no longer the clean point, still
+        # restores exactly.
         mem.restore(snap_a)
         assert mem.read_word(0) == 0
 
@@ -176,3 +177,86 @@ def test_last_write_wins(writes):
         expected[word_index] = value
     for word_index, value in expected.items():
         assert mem.read_word(word_index * 8) == value
+
+
+# -- block-sparse snapshots against a dense model ---------------------------
+
+_WORD = st.integers(0, U64)
+_INDEX = st.integers(0, 1 << 20)  # taken modulo the image size
+_OPS = st.one_of(
+    st.tuples(st.just("write_word"), _INDEX, _WORD),
+    st.tuples(st.just("fetch_or"), _INDEX, _WORD),
+    st.tuples(st.just("fetch_and"), _INDEX, _WORD),
+    st.tuples(st.just("write_words"), _INDEX, st.lists(_WORD, max_size=40)),
+    st.tuples(st.just("fill"), _INDEX, st.integers(0, 2 * BLOCK_WORDS), _WORD),
+    # The SoA fast-path idiom: a raw array store plus note_dirty.
+    st.tuples(st.just("raw"), _INDEX, st.integers(1, 300), _WORD),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore_own"), _INDEX),
+    st.tuples(st.just("restore_foreign"),
+              st.lists(st.tuples(_INDEX, _WORD), max_size=20)),
+)
+
+
+@given(
+    # Whole blocks and ragged tails, from under one block to over three.
+    n_words=st.sampled_from([1, 37, BLOCK_WORDS - 1, BLOCK_WORDS,
+                             BLOCK_WORDS + 1, 2 * BLOCK_WORDS,
+                             3 * BLOCK_WORDS + 513]),
+    ops=st.lists(_OPS, max_size=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_sparse_snapshots_match_dense_model(n_words, ops):
+    """Any mix of writes through every helper, own snapshots restored in
+    any order, and foreign arrays restored, leaves the image equal to a
+    dense model; every snapshot stays equal to the model at its taking."""
+    mem = PhysicalMemory(n_words * 8)
+    model = np.zeros(n_words, dtype=np.uint64)
+    snaps = []  # (snapshot, the model when it was taken)
+    for op in ops:
+        kind = op[0]
+        if kind == "write_word":
+            i = op[1] % n_words
+            mem.write_word(i * 8, op[2])
+            model[i] = np.uint64(op[2])
+        elif kind in ("fetch_or", "fetch_and"):
+            i = op[1] % n_words
+            assert getattr(mem, kind)(i * 8, op[2]) == int(model[i])
+            if kind == "fetch_or":
+                model[i] |= np.uint64(op[2])
+            else:
+                model[i] &= np.uint64(op[2])
+        elif kind == "write_words":
+            i = op[1] % n_words
+            vals = op[2][:n_words - i]
+            mem.write_words(i * 8, vals)
+            model[i:i + len(vals)] = np.array(vals, dtype=np.uint64)
+        elif kind in ("fill", "raw"):
+            i = op[1] % n_words
+            count = min(op[2], n_words - i)
+            if kind == "fill":
+                mem.fill(i * 8, count, op[3])
+            elif count:
+                mem.words[i:i + count] = np.uint64(op[3])
+                mem.note_dirty(i, count)
+            model[i:i + count] = np.uint64(op[3])
+        elif kind == "snapshot":
+            snap = mem.snapshot()
+            assert np.array_equal(snap, model)
+            snaps.append((snap, model.copy()))
+        elif kind == "restore_own":
+            if snaps:
+                snap, at = snaps[op[1] % len(snaps)]
+                mem.restore(snap)
+                model = at.copy()
+        else:
+            foreign = np.zeros(n_words, dtype=np.uint64)
+            for i, value in op[1]:
+                foreign[i % n_words] = np.uint64(value)
+            mem.restore(foreign)
+            model = foreign.copy()
+        assert np.array_equal(mem.words, model)
+        nonzero = set((np.flatnonzero(mem.words) // BLOCK_WORDS).tolist())
+        assert nonzero <= mem.live_blocks()
+    for snap, at in snaps:
+        assert np.array_equal(snap, at)
