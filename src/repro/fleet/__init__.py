@@ -29,7 +29,7 @@ from repro.fleet.admission import (
     resolve_policy,
     schedule_fleet,
 )
-from repro.fleet.balancer import offline_split, spray, tenant_arrivals
+from repro.fleet.balancer import spray, tenant_arrivals
 from repro.fleet.faults import (
     DEFAULT_RESILIENCE_ROSTERS,
     FleetFault,
@@ -72,7 +72,6 @@ __all__ = [
     "fleet_lbo_rows",
     "fleet_resilience_row",
     "fleet_summary_rows",
-    "offline_split",
     "resolve_policy",
     "reset_base_cache",
     "schedule_fleet",

@@ -38,16 +38,16 @@ def spray_array(n_queries: int, n_tenants: int, seed: int) -> np.ndarray:
 def tenant_arrivals(assignments: Union[Sequence[int], np.ndarray],
                     interval_cycles: int,
                     n_tenants: int,
-                    warmup: int) -> List[Tuple[List[int], int]]:
+                    warmup: int) -> List[Tuple[np.ndarray, int]]:
     """Every tenant's slice of the global stream.
 
-    Entry ``t`` is ``(arrival cycles, n_warmup)`` for tenant ``t``, where
-    ``n_warmup`` counts the tenant's arrivals that fall inside the
-    fleet-wide warm-up window (the first ``warmup`` *global* queries).
-    Because arrivals are assigned in global order, those are exactly the
-    tenant's first ``n_warmup`` arrivals — the form
+    Entry ``t`` is ``(arrival cycles, n_warmup)`` for tenant ``t``: the
+    cycles as an int64 array, and ``n_warmup`` the count of the tenant's
+    arrivals inside the fleet-wide warm-up window (the first ``warmup``
+    *global* queries). Because arrivals are assigned in global order,
+    those are exactly the tenant's first ``n_warmup`` arrivals — the form
     :class:`~repro.workloads.latency.QueryReplay` consumes. A tenant the
-    spray never picked gets ``([], 0)``; an assignment outside
+    spray never picked gets an empty array; an assignment outside
     ``[0, n_tenants)`` raises ``ValueError``.
     """
     picks = np.asarray(assignments, dtype=np.int64)
@@ -58,21 +58,5 @@ def tenant_arrivals(assignments: Union[Sequence[int], np.ndarray],
         raise ValueError(f"{picks.size} arrivals {interval_cycles} cycles "
                          f"apart overflow int64 cycles")
     n_warmup = np.bincount(picks[:warmup], minlength=n_tenants).tolist()
-    return [((np.flatnonzero(picks == t) * interval_cycles).tolist(),
-             n_warmup[t]) for t in range(n_tenants)]
-
-
-def offline_split(arrivals: Sequence[int],
-                  offline_after_cycle: int) -> Tuple[List[int], List[int]]:
-    """Split one tenant's arrival slice at its crash cycle.
-
-    Returns ``(live, offline)``: arrivals strictly before the cycle the
-    tenant went offline, and the shed tail at/after it. The balancer
-    keeps spraying at a dead tenant (it has no health checks, by design —
-    see module docstring), so the shed tail is real traffic the
-    conservation law must still count; the split lets the resilience
-    report and the chaos battery predict exactly how many arrivals a
-    crashed tenant sheds without replaying anything.
-    """
-    live = [a for a in arrivals if a < offline_after_cycle]
-    return live, list(arrivals[len(live):])
+    return [(np.flatnonzero(picks == t) * interval_cycles, n_warmup[t])
+            for t in range(n_tenants)]

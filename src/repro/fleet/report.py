@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.fleet.admission import (
     POLICIES,
     FailoverConfig,
@@ -212,10 +214,10 @@ def simulate_fleet(
                    if spec.shed_backlog_intervals > 0 else None)
     # A tenant's arrivals and service draws depend on neither the policy
     # nor its timeline (shed queries draw too), so every policy replays
-    # the same lists: one slice and one draw per tenant per call.
+    # the same arrays: one slice and one draw per tenant per call.
     slices = tenant_arrivals(assignments, interval, spec.n_tenants,
                              spec.warmup)
-    streams: Dict[int, Tuple[List[int], int, List[int]]] = {}
+    streams: Dict[int, Tuple[np.ndarray, int, np.ndarray]] = {}
     for index in tenant_indices:
         arrivals, n_warmup = slices[index]
         streams[index] = (arrivals, n_warmup, draw_service_times(
@@ -264,7 +266,7 @@ def simulate_fleet(
                     f"in_flight {replay.in_flight} + shed {replay.shed}")
             summary = (latency_summary(replay.sorted_latencies(),
                                        percentiles=(50.0, 99.0, 99.9))
-                       if replay.index else None)
+                       if len(replay.index) else None)
             reports[(index, policy)] = TenantReport(
                 tenant=tenant,
                 policy=policy,

@@ -38,8 +38,6 @@ from __future__ import annotations
 import math
 import random
 from random import NV_MAGICCONST
-from typing import List
-
 import numpy as np
 
 #: Most attempts one block evaluates; a block is sized to finish the
@@ -132,13 +130,15 @@ def normal_deviates(count: int, seed) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def floored_exp_ints(x: np.ndarray, floor: int) -> List[int]:
-    """``[max(floor, int(math.exp(v))) for v in x]``.
+def floored_exp_ints(x: np.ndarray, floor: int) -> np.ndarray:
+    """``[max(floor, int(math.exp(v))) for v in x]`` as an int64 array.
 
     An ulp of ``exp`` moves ``int`` only for a value within a few ulps of
     an integer. Those values, and every one that is not finite or is at
     least 2**52 (where each double is an integer), are recomputed with
-    :func:`math.exp`, which also raises where the stdlib would.
+    :func:`math.exp`, which also raises where the stdlib would; a value
+    the stdlib would return as an int of 2**63 or more raises
+    ``ValueError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(x)
@@ -146,7 +146,10 @@ def floored_exp_ints(x: np.ndarray, floor: int) -> List[int]:
         frac = e - whole
         exact = np.minimum(frac, 1.0 - frac) > EXP_BAND * e
     out = np.maximum(np.where(exact, whole, 0.0), float(floor)) \
-        .astype(np.int64).tolist()
+        .astype(np.int64)
     for i in np.flatnonzero(~exact):
-        out[i] = max(floor, int(math.exp(x[i])))
+        value = max(floor, int(math.exp(x[i])))
+        if value >> 63:
+            raise ValueError(f"exp({x[i]!r}) = {value} leaves int64")
+        out[i] = value
     return out

@@ -22,7 +22,6 @@ pause-induced tail two orders of magnitude long — is the reproduced result.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,22 +49,22 @@ class QueryRecord:
         return self.latency_cycles / 1e6
 
 
-@dataclass
+@dataclass(eq=False)
 class ReplayResult:
     """Outcome of replaying an explicit arrival schedule.
 
-    The post-warm-up *serviced* queries are held as four parallel
+    The post-warm-up *serviced* queries are held as four parallel numpy
     columns (shed queries never execute and leave no entry); the
-    counters account for every arrival exactly once:
+    counters, Python ints, account for every arrival exactly once:
     ``arrived == completed + in_flight + shed``. A replay builds no
     object per query: :attr:`records` materialises the rows as
     :class:`QueryRecord` only when asked.
     """
 
-    index: List[int]        # arrival index of each serviced query
-    intended: List[int]     # its intended start, cycles
-    completion: List[int]
-    near_gc: List[bool]
+    index: np.ndarray       # arrival index of each serviced query
+    intended: np.ndarray    # its intended start, cycles
+    completion: np.ndarray
+    near_gc: np.ndarray     # bool
     arrived: int
     completed: int  # serviced with completion <= horizon (incl. warm-up)
     in_flight: int  # serviced but still running at the horizon
@@ -74,12 +73,12 @@ class ReplayResult:
     @property
     def records(self) -> List[QueryRecord]:
         return [QueryRecord(*row) for row in zip(
-            self.index, self.intended, self.completion, self.near_gc)]
+            self.index.tolist(), self.intended.tolist(),
+            self.completion.tolist(), self.near_gc.tolist())]
 
     def sorted_latencies(self) -> List[int]:
         """The serviced queries' latencies in cycles, ascending."""
-        latencies = np.array(self.completion, dtype=np.int64)
-        latencies -= np.array(self.intended, dtype=np.int64)
+        latencies = self.completion - self.intended
         latencies.sort()
         return latencies.tolist()
 
@@ -91,22 +90,35 @@ class ReplayResult:
 #: Shape of the lognormal service-time distribution.
 SERVICE_SIGMA = 0.35
 
+#: Queries a stretch serves in its first round after a shed burst; each
+#: round that sheds nothing doubles it.
+SHED_BLOCK = 64
+
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def draw_service_times(n: int, mean_cycles: int, sigma: float,
-                       seed: int) -> List[int]:
+                       seed: int) -> np.ndarray:
     """The first ``n`` service times of the stream seeded by ``seed``.
 
     Lognormal around ``mean_cycles`` with shape ``sigma``, floored at 1000
     cycles: ``max(1000, int(rng.lognormvariate(log(mean_cycles), sigma)))``
-    for ``rng = random.Random(seed)``, value for value, drawn in numpy
-    blocks (:mod:`repro.workloads._stdlib_stream`). A replay consumes
-    exactly one per arrival, in arrival order, whether the query is then
-    served or shed, so the list depends on nothing but these four values:
-    the fleet draws it once per tenant and hands the same list to every
-    policy's replay.
+    for ``rng = random.Random(seed)``, value for value, as an int64 array
+    drawn in numpy blocks (:mod:`repro.workloads._stdlib_stream`). A
+    replay consumes one per arrival, served or shed, so the fleet draws
+    it once per tenant and hands it to every policy's replay.
     """
     mu = math.log(mean_cycles)
     return floored_exp_ints(mu + normal_deviates(n, seed) * sigma, 1000)
+
+
+def _int64_column(values: Sequence[int], name: str) -> np.ndarray:
+    """``values`` as an int64 array; a value outside int64 raises."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} hold a value outside int64 "
+                         f"cycles") from None
 
 
 class QueryReplay:
@@ -115,7 +127,10 @@ class QueryReplay:
 
     The fleet layer sprays one global arrival stream across tenants, so
     each tenant replays an irregular slice of it; :class:`QuerySimulator`
-    replays Fig. 1b's regular schedule through the same loop.
+    replays Fig. 1b's regular schedule through the same path. Service
+    progresses only in mutator time ``W(t)``, the cycles before ``t`` no
+    pause covers (flat across each pause), so the FIFO server is
+    Lindley's recursion in ``W``: a prefix maximum (:meth:`replay`).
     """
 
     def __init__(
@@ -131,13 +146,20 @@ class QueryReplay:
         self.service_mean = service_mean_cycles
         self.service_sigma = service_sigma
         self.seed = seed
-        # One period of the timeline, as parallel start/end lists; ends
-        # are sorted (``_tile_pauses`` rejects anything else), which is
-        # what the bisected re-seek and the forward cursor rely on.
-        self._period = run.total_cycles
-        pauses = self._tile_pauses(self._period)
-        self._starts = [start for start, _end in pauses]
-        self._ends = [end for _start, end in pauses]
+        # One period of the timeline as a pause table; ``W`` and its
+        # inverses tile it, the epoch found by integer division. A
+        # pause-free timeline is a one-cycle period with no pause.
+        pauses = np.array(self._tile_pauses(run.total_cycles),
+                          dtype=np.int64).reshape(-1, 2)
+        starts, self._ends = pauses[:, 0], pauses[:, 1]
+        self._period = run.total_cycles if len(pauses) else 1
+        #: The pause starts, with the period as a sentinel past the last.
+        self._starts = np.append(starts, self._period)
+        #: Pause cycles before pause ``k`` of a period (``[-1]``: all).
+        self._paused = np.append(0, np.cumsum(self._ends - starts))
+        #: Mutator cycles per period, and ``W`` at each pause start.
+        self._mutator = self._period - int(self._paused[-1])
+        self._warped_starts = starts - self._paused[:-1]
 
     def _tile_pauses(self, period: int) -> List[Tuple[int, int]]:
         """Pause windows [(start, end)] of one run period; lookups tile
@@ -149,9 +171,8 @@ class QueryReplay:
         Anything else would be answered wrongly (a query could be served
         through a pause it sits inside), so it is rejected here, at
         construction, naming the first offending pause. So is a run whose
-        pauses cover the entire window: with no mutator time for service
-        to progress, :meth:`replay`'s walk would spin forever hopping
-        from one tiled pause straight into the next.
+        pauses cover the entire window: with no mutator time, service
+        could never progress and ``W`` would have no inverse.
         """
         base = [(s, e) for kind, s, e in self.run.timeline() if kind == "gc"]
         if not base or period <= 0:
@@ -179,21 +200,26 @@ class QueryReplay:
                 f"{period} cycles): queries could never complete")
         return base
 
-    def _pause_after(self, t: int) -> Tuple[int, int]:
-        """``(i, offset)``: pause ``i`` shifted by ``offset`` cycles is
-        the first tiled pause window that ends after time ``t``.
+    def _warp(self, t: np.ndarray) -> np.ndarray:
+        """``W(t)``: ``t`` less the tiled pause cycles before it. Inside a
+        pause, ``W`` stays at the pause start's value."""
+        epoch, phase = np.divmod(t, self._period)
+        k = np.searchsorted(self._ends, phase, side="right")
+        paused = self._paused[k] + np.maximum(phase - self._starts[k], 0)
+        return epoch * self._mutator + phase - paused
 
-        ``divmod`` places ``t`` in its epoch (which repetition of the run)
-        and bisection finds the pause within it; past the epoch's last
-        pause the answer is the next epoch's first. :meth:`replay` calls
-        it only to re-seek its cursor past an idle gap.
-        """
-        period = self._period
-        epoch, phase = divmod(t, period)
-        i = bisect_right(self._ends, phase)
-        if i == len(self._ends):
-            return 0, (epoch + 1) * period
-        return i, epoch * period
+    def _unwarp(self, w: np.ndarray, side: str) -> np.ndarray:
+        """The earliest (``side="left"``: a flat stretch's pause start) or
+        latest (``"right"``: its end) cycle ``t`` with ``W(t) == w``. The
+        left phase runs over ``(0, mutator]``, so a ``w`` reached at a
+        pause that ends the period maps into that epoch, not the next."""
+        if side == "left":
+            epoch, phase = np.divmod(w - 1, self._mutator)
+            phase += 1
+        else:
+            epoch, phase = np.divmod(w, self._mutator)
+        k = np.searchsorted(self._warped_starts, phase, side=side)
+        return epoch * self._period + phase + self._paused[k]
 
     def replay(
         self,
@@ -220,7 +246,14 @@ class QueryReplay:
         them for this replay's count, mean, sigma and seed; ``None`` draws
         them here. Shed queries consume their draw too, so the pre-crash
         prefix replays byte-identically to the fault-free run. An empty
-        schedule returns a zero-count result.
+        schedule returns a zero-count result. Arrivals decreasing or
+        before cycle 0, a negative service or backlog bound, or a schedule
+        that could complete past int64 cycles raise ``ValueError``.
+
+        Query ``i`` completes at ``W = S_i + max(carry, max_{j<=i} W(a_j)
+        - S_{j-1})``, ``S`` the cumulative service, mapped back by the
+        left inverse (work that fits exactly before a pause completes at
+        its start) or, for zero work, the right (it waits the pause out).
         """
         if services is None:
             services = draw_service_times(len(arrivals), self.service_mean,
@@ -228,85 +261,107 @@ class QueryReplay:
         elif len(services) != len(arrivals):
             raise ValueError(f"{len(services)} service times for "
                              f"{len(arrivals)} arrivals")
-        starts, ends, period = self._starts, self._ends, self._period
-        n_pauses = len(ends)
-        # The cursor: pause ``i`` shifted by ``offset`` is the tiled
-        # window [p_start, p_end); every window before it ends at or
-        # before the last service walk. Service starts never decrease, so
-        # the cursor only moves forward: by the walk below, or by one
-        # ``_pause_after`` re-seek when a start jumps past its window. A
-        # pause-free timeline (e.g. a crashed tenant whose collections
-        # were all cancelled) has an unreachable window and serves
-        # undisturbed.
-        i = offset = 0
-        p_start = p_end = math.inf
-        if n_pauses:
-            p_start, p_end = starts[0], ends[0]
-        if horizon is None:
-            horizon = math.inf
-        if offline_after_cycle is None:
-            offline_after_cycle = math.inf
-        if shed_backlog_cycles is None:
-            shed_backlog_cycles = math.inf
-        index: List[int] = []
-        intended_col: List[int] = []
-        completion_col: List[int] = []
-        near_gc_col: List[bool] = []
-        prev_completion = 0
-        prev_intended = 0
-        prev_near_gc = False
-        completed = in_flight = shed = 0
-        for g, intended in enumerate(arrivals):
-            if intended < prev_intended:
-                raise ValueError(
-                    f"arrival schedule must be non-decreasing: "
-                    f"arrivals[{g}] == {intended} < {prev_intended}")
-            prev_intended = intended
-            if (intended >= offline_after_cycle
-                    or prev_completion - intended > shed_backlog_cycles):
-                shed += 1
-                continue
-            service = services[g]
-            start = intended if intended > prev_completion \
-                else prev_completion
-            if p_end <= start:
-                i, offset = self._pause_after(start)
-                p_start, p_end = starts[i] + offset, ends[i] + offset
-            # Walk while the work reaches the cursor's window. A start
-            # exactly at p_start is inside the pause, even for zero work:
-            # it waits the pause out.
-            t, work = start, service
-            while not (t < p_start and work <= p_start - t):
-                if t < p_start:
-                    work -= p_start - t
-                t = p_end
-                i += 1
-                if i == n_pauses:
-                    i = 0
-                    offset += period
-                p_start, p_end = starts[i] + offset, ends[i] + offset
-            completion = t + work
-            # "The colors indicate whether a query was close to a pause":
-            # either it absorbed a pause directly, or it queued behind a
-            # pause-delayed predecessor (ordinary queueing doesn't count).
-            near_gc = (completion - start > service) or (
-                start > intended and prev_near_gc
-            )
-            prev_completion = completion
-            prev_near_gc = near_gc
-            if completion > horizon:
-                in_flight += 1
-            else:
-                completed += 1
-            if g >= warmup:
-                index.append(g)
-                intended_col.append(intended)
-                completion_col.append(completion)
-                near_gc_col.append(near_gc)
-        return ReplayResult(index=index, intended=intended_col,
-                            completion=completion_col, near_gc=near_gc_col,
-                            arrived=len(arrivals), completed=completed,
-                            in_flight=in_flight, shed=shed)
+        arrivals = _int64_column(arrivals, "arrivals")
+        services = _int64_column(services, "services")
+        n = len(arrivals)
+        previous = np.append(0, arrivals[:-1])
+        for g in np.flatnonzero(arrivals < previous)[:1]:
+            raise ValueError(f"arrival schedule must be non-decreasing: "
+                             f"arrivals[{g}] == {arrivals[g]} < "
+                             f"{previous[g]}")
+        for g in np.flatnonzero(services < 0)[:1]:
+            raise ValueError(f"services[{g}] == {services[g]} is negative")
+        # No completion passes W's right inverse at the last arrival plus
+        # the total service, within one period past the epoch it reaches.
+        total = int(services.sum()) if n * int(services.max(initial=0)) \
+            <= _INT64_MAX else sum(services.tolist())  # else it could wrap
+        reach = int(arrivals[-1]) + total if n else 0
+        if (reach // self._mutator + 1) * self._period > _INT64_MAX:
+            raise ValueError(f"the last arrival plus the total service "
+                             f"{total} can complete past int64 cycles")
+        live = n if offline_after_cycle is None else int(
+            np.searchsorted(arrivals, offline_after_cycle))
+        shed = n - live
+        a, s = arrivals[:live], services[:live]
+        warped = self._warp(a)
+        limit = math.inf if shed_backlog_cycles is None \
+            else shed_backlog_cycles
+        if limit < 0:
+            raise ValueError(f"shed_backlog_cycles {limit} is negative")
+        completion = np.zeros(live, dtype=np.int64)
+        served = np.zeros(live, dtype=bool)
+        # Stretches still to serve, one row each in arrival order: arrivals
+        # [lo, end), at most ``span`` of them this round, after a served
+        # query that completed at ``done``.
+        todo = np.array([[0, live, live, 0]])
+        while len(todo := todo[todo[:, 0] < todo[:, 1]]):
+            lo, end, span, done = todo.T
+            size = np.minimum(span, end - lo)
+            first = np.cumsum(size) - size
+            row = np.repeat(np.arange(len(lo)), size)
+            idx = lo[row] + np.arange(len(row)) - first[row]
+            ai, si = a[idx], s[idx]
+            before = np.cumsum(si) - si
+            # Lindley's recursion in mutator time, one prefix maximum over
+            # every stretch at once: each starts from its carry, which no
+            # value of an earlier stretch exceeds.
+            z = warped[idx] - before
+            z[first] = np.maximum(z[first], self._warp(done) - before[first])
+            w = before + si + np.maximum.accumulate(z)
+            c = self._unwarp(w, "left")
+            zero = si == 0
+            c[zero] = self._unwarp(w[zero], "right")
+            previous = np.append(0, c[:-1])
+            previous[first] = done
+            late = previous - ai > limit
+            # A stretch splits into pieces where a query does not queue:
+            # the load before cannot reach it, so each piece is exact up
+            # to its first late arrival.
+            opens = previous <= ai
+            opens[first] = True
+            piece = np.cumsum(opens) - 1
+            starts = np.flatnonzero(opens)
+            lates = np.cumsum(late)
+            seen = lates - (lates - late)[starts][piece]
+            exact = seen == 0
+            completion[idx[exact]] = c[exact]
+            served[idx[exact]] = True
+            # A piece's first late arrival sheds the burst behind it, and
+            # the piece resumes after that; a stretch whose round was
+            # exact throughout goes on with twice the span.
+            k = np.flatnonzero(late & (seen == 1))
+            piece_row = row[starts]
+            piece_end = np.where(
+                np.append(piece_row[1:] == piece_row[:-1], False),
+                np.append(idx[starts[1:]], 0), end[piece_row])
+            resume = np.searchsorted(a, previous[k] - limit, side="left")
+            shed += int((resume - idx[k]).sum())
+            last = first + size - 1
+            todo = np.concatenate((
+                np.column_stack((resume, piece_end[piece[k]],
+                                 np.full(len(k), SHED_BLOCK), previous[k])),
+                np.column_stack((lo + size, end, 2 * span,
+                                 c[last]))[exact[last]]))
+            todo = todo[np.argsort(todo[:, 0], kind="stable")]
+        # "The colors indicate whether a query was close to a pause": it
+        # absorbed one at or after the last query that did not queue
+        # (ordinary queueing doesn't count).
+        index = np.flatnonzero(served)
+        c, ai, si = completion[index], a[index], s[index]
+        start = np.maximum(ai, np.append(0, c[:-1]))
+        absorbed = c - start > si
+        fresh = start == ai
+        hits = np.cumsum(absorbed)
+        near_gc = hits > np.append(0, (hits - absorbed)[fresh])[
+            np.cumsum(fresh)]
+        in_flight = 0 if horizon is None else \
+            int(np.count_nonzero(c > horizon))
+        warm = index >= warmup
+        return ReplayResult(
+            index=index[warm], intended=ai[warm], completion=c[warm],
+            near_gc=near_gc[warm], arrived=n,
+            completed=len(index) - in_flight, in_flight=in_flight,
+            shed=shed)
 
 
 class QuerySimulator(QueryReplay):
@@ -324,7 +379,7 @@ class QuerySimulator(QueryReplay):
         :func:`tail_ratio`) raise ``ValueError("no records")`` rather than
         emitting NaNs.
         """
-        arrivals = [i * self.interval for i in range(n_queries)]
+        arrivals = np.arange(n_queries, dtype=np.int64) * self.interval
         return self.replay(arrivals, warmup=warmup).records
 
 
@@ -420,7 +475,7 @@ def compare_stw_concurrent(
     interval = interval_cycles or max(50_000, mean_pause // 6)
     service = service_mean_cycles or max(4_000, mean_pause // 60)
 
-    arrivals = [i * interval for i in range(n_queries)]
+    arrivals = np.arange(n_queries, dtype=np.int64) * interval
 
     def summarize(run: MutatorRunResult) -> dict:
         result = QueryReplay(run, interval_cycles=interval,

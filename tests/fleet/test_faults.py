@@ -25,7 +25,6 @@ from repro.fleet.admission import (
     ServiceGrant,
     schedule_fleet,
 )
-from repro.fleet.balancer import offline_split
 from repro.fleet.faults import (
     DEFAULT_RESILIENCE_ROSTERS,
     FleetFault,
@@ -449,9 +448,9 @@ class TestChaosBattery:
         ).replay(arrivals, warmup=0, horizon=cursor + 1_000_000,
                  offline_after_cycle=offline)
         assert replay.conserved
-        live, dead = offline_split(arrivals, offline)
-        assert replay.shed >= len(dead)
-        assert replay.completed + replay.in_flight <= len(live)
+        live = sum(1 for a in arrivals if a < offline)
+        assert replay.shed >= len(arrivals) - live
+        assert replay.completed + replay.in_flight <= live
 
     def test_offline_prefix_replays_byte_identically(self):
         # The pre-crash records match the fault-free run record-for-
@@ -466,6 +465,6 @@ class TestChaosBattery:
 
         free = run()
         faulted = run(offline_after_cycle=1_500_000)
-        live, dead = offline_split(arrivals, 1_500_000)
-        assert faulted.shed == len(dead)
-        assert faulted.records == free.records[:len(live)]
+        live = sum(1 for a in arrivals if a < 1_500_000)
+        assert faulted.shed == len(arrivals) - live
+        assert faulted.records == free.records[:live]

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import _stdlib_stream
+from repro.workloads import _stdlib_stream, latency
 from repro.workloads._stdlib_stream import floored_exp_ints, km_accept
 from repro.workloads.latency import (
     QueryRecord,
@@ -54,7 +56,7 @@ def windowed_run(windows, period):
 
 def linear_pause_after(windows, period, t):
     """The first tiled pause window ending after ``t``, by linear scan
-    over every epoch from ``t``'s (the lookup before bisection)."""
+    over every epoch from ``t``'s (floor division, negative ``t`` too)."""
     epoch = t // period
     while True:
         offset = epoch * period
@@ -96,7 +98,13 @@ def reference_replay(windows, period, arrivals, services, warmup=0,
                      offline_after_cycle=None):
     """Reference ``QueryReplay.replay``: the per-query loop, one
     independent :func:`linear_advance` per serviced query. Returns
-    ``(records, (arrived, completed, in_flight, shed))``."""
+    ``(records, (arrived, completed, in_flight, shed))``; a schedule
+    that decreases, or starts before cycle 0, raises ``ValueError``."""
+    for i, intended in enumerate(arrivals):
+        previous = arrivals[i - 1] if i else 0
+        if intended < previous:
+            raise ValueError(f"arrival schedule must be non-decreasing: "
+                             f"arrivals[{i}] == {intended} < {previous}")
     records = []
     prev_completion = 0
     prev_near_gc = False
@@ -250,6 +258,50 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="non-decreasing"):
             sim.replay([0, 200_000, 100_000])
 
+    def test_negative_backlog_bound_rejected(self):
+        sim = QueryReplay(synthetic_run())
+        with pytest.raises(ValueError, match="shed_backlog_cycles -1 is"):
+            sim.replay([0, 5], services=[4, 3], shed_backlog_cycles=-1)
+
+    def test_negative_service_rejected(self):
+        sim = QueryReplay(synthetic_run())
+        with pytest.raises(ValueError, match=r"services\[1\] == -3"):
+            sim.replay([0, 5], services=[4, -3])
+
+
+class TestInt64Guard:
+    """The replay computes in int64; what would leave it is refused
+    rather than wrapped."""
+
+    @pytest.mark.parametrize("arrivals, services, column", [
+        ([0, 2**63], [1, 1], "arrivals"),
+        ([0, 1], [1, 2**63], "services"),
+        ([-2**63 - 1], [1], "arrivals"),
+    ])
+    def test_value_outside_int64_rejected(self, arrivals, services, column):
+        sim = QueryReplay(synthetic_run())
+        with pytest.raises(ValueError,
+                           match=f"{column} hold a value outside int64"):
+            sim.replay(arrivals, services=services)
+
+    @pytest.mark.parametrize("windows, arrivals, services", [
+        # Each value fits; the last arrival plus the total service not.
+        ([], [2**62, 2**62], [2**62, 2**62]),
+        # The sum fits, but 99 of every 100 cycles are paused: the
+        # completion lands about 100 times further out.
+        ([(0, 99)], [0], [2**57]),
+    ], ids=["sum", "stretched"])
+    def test_completion_past_int64_rejected(self, windows, arrivals,
+                                            services):
+        sim = QueryReplay(windowed_run(windows, period=100))
+        with pytest.raises(ValueError, match="complete past int64"):
+            sim.replay(arrivals, services=services)
+
+    def test_completion_near_int64_is_exact(self):
+        result = QueryReplay(windowed_run([], period=100)).replay(
+            [2**62], services=[2**61 + 7])
+        assert result.completion.tolist() == [2**62 + 2**61 + 7]
+
 
 class TestWellFormedTimeline:
     """Pause windows that cannot tile are rejected at construction, naming
@@ -276,81 +328,182 @@ class TestWellFormedTimeline:
         run = windowed_run([(0, 100), (100, 100), (100, 250), (900, 1000)],
                            period=1000)
         sim = QueryReplay(run)
-        assert sim.replay([0], services=[1]).completion == [251]
-        assert sim.replay([899], services=[2]).completion == [1251]
+        assert sim.replay([0], services=[1]).completion.tolist() == [251]
+        assert sim.replay([899], services=[2]).completion.tolist() == [1251]
 
 
-class TestPauseLookup:
-    """The bisected lookup against the linear scan it replaced."""
+def linear_warp(windows, period, t):
+    """``W(t)``: ``t`` less the tiled pause cycles between cycle 0 and
+    ``t`` (plus them, for a negative ``t``), summed window by window over
+    every epoch in between."""
+    lo, hi = min(0, t), max(0, t)
+    paused = 0
+    for epoch in range(lo // period, hi // period + 1):
+        for start, end in windows:
+            offset = epoch * period
+            paused += max(0, min(end + offset, hi) - max(start + offset, lo))
+    return t - paused if t >= 0 else t + paused
+
+
+class TestWarpedTime:
+    """Mutator time ``W`` and its two inverses against the linear scans:
+    :func:`linear_warp` and :func:`linear_advance`, whose epoch is the
+    floor division of ``t``, negative ``t`` included."""
 
     @settings(deadline=None, max_examples=400)
-    @given(timeline=well_formed_timelines(), data=st.data())
-    def test_lookup_matches_linear_scan(self, timeline, data):
+    @given(timeline=well_formed_timelines(), pick=st.integers(0, 10**6),
+           on_edge=st.booleans(), epoch=st.integers(-5, 5),
+           work=st.one_of(st.just(0), st.integers(0, 80),
+                          st.integers(0, 2_000)))
+    # One flat stretch across each epoch edge: t = 900 is the tail
+    # pause's start, 100 of work fits exactly before the next one.
+    @example(timeline=([(0, 100), (900, 1000)], 1000), pick=3,
+             on_edge=True, epoch=0, work=0)
+    @example(timeline=([(0, 100), (900, 1000)], 1000), pick=800,
+             on_edge=False, epoch=1, work=100)
+    def test_warp_and_inverses_match_linear_scans(self, timeline, pick,
+                                                   on_edge, epoch, work):
         windows, period = timeline
         sim = QueryReplay(windowed_run(windows, period))
         edges = sorted({0, period - 1} | {c for w in windows for c in w})
-        phase = data.draw(st.one_of(st.sampled_from(edges),
-                                    st.integers(0, period - 1)))
-        t = data.draw(st.integers(0, 5)) * period + phase
-        work = data.draw(st.one_of(st.integers(0, 2 * period),
-                                   st.integers(0, 40 * period)))
-        i, offset = sim._pause_after(t)
-        assert (windows[i][0] + offset, windows[i][1] + offset) == \
-            linear_pause_after(windows, period, t)
-        assert sim.replay([t], services=[work]).completion == \
-            [linear_advance(windows, period, t, work)]
+        phase = edges[pick % len(edges)] if on_edge else pick % period
+        t = epoch * period + phase
+        w = sim._warp(np.array([t]))
+        assert w.tolist() == [linear_warp(windows, period, t)]
+        target = w + work
+        earliest = int(sim._unwarp(target, "left")[0])
+        latest = int(sim._unwarp(target, "right")[0])
+        # The defining properties: the first and the last cycle at the
+        # target, with ``W`` below it just before and above it just after.
+        for cycle in (earliest, latest):
+            assert linear_warp(windows, period, cycle) == target[0]
+        assert linear_warp(windows, period, earliest - 1) < target[0]
+        assert linear_warp(windows, period, latest + 1) > target[0]
+        # Work completes at the earliest; zero work waits out a pause.
+        assert (earliest if work else latest) == \
+            linear_advance(windows, period, t, work)
+        if t >= 0:
+            assert sim.replay([t], services=[work]).completion.tolist() == \
+                [linear_advance(windows, period, t, work)]
+
+    def test_far_arrivals_allocate_per_pause_not_per_epoch(self):
+        """Arrivals near 10**9 on a 5-cycle period lie 2*10**8 epochs in:
+        the lookups divide to find the epoch and allocate only a few
+        arrays the size of the schedule."""
+        windows, period = [(1, 3)], 5
+        sim = QueryReplay(windowed_run(windows, period))
+        arrivals = [10**9 + 7 * i for i in range(50)]
+        services = [i % 4 for i in range(50)]
+        tracemalloc.start()
+        try:
+            result = sim.replay(arrivals, services=services)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        records, _counters = reference_replay(windows, period, arrivals,
+                                              services)
+        assert result.records == records
 
 
 class TestReplayOracle:
-    """The whole replay, one forward cursor over every query, against
+    """The whole replay, vectorised in mutator time, against
     :func:`reference_replay`'s independent per-query walks."""
 
     def test_zero_service_at_pause_start_waits_the_pause_out(self):
         """A start exactly at a pause start is inside the pause: even a
-        zero-work query waits it out (100 -> 200). A fast path testing
-        only ``start + service <= pause start`` would answer 100."""
+        zero-work query waits it out (100 -> 200), by the right inverse
+        of ``W``. The left inverse would answer 100."""
         sim = QueryReplay(windowed_run([(100, 200)], period=1000))
         result = sim.replay([100], services=[0])
-        assert result.completion == [200]
-        assert result.near_gc == [True]
+        assert result.completion.tolist() == [200]
+        assert result.near_gc.tolist() == [True]
 
     @settings(deadline=None, max_examples=300)
     @given(
         timeline=well_formed_timelines(),
+        origin=st.one_of(st.just(0), st.integers(-40, 40)),
         queries=st.lists(st.tuples(
             st.one_of(st.integers(0, 60), st.integers(0, 5_000)),
             st.booleans(),
             st.one_of(st.integers(0, 40), st.integers(0, 2_000)),
         ), max_size=40),
+        bulk=st.one_of(st.none(), st.tuples(st.integers(1_000, 1_200),
+                                            st.integers(0, 2**32))),
         warmup=st.integers(0, 10),
         shed=st.one_of(st.none(), st.integers(0, 300)),
-        offline=st.one_of(st.none(), st.integers(0, 20_000)),
-        horizon=st.one_of(st.none(), st.integers(0, 20_000)),
+        offline=st.one_of(st.none(), st.integers(0, 20_000),
+                          st.integers(0, 100_000)),
+        horizon=st.one_of(st.none(), st.integers(0, 20_000),
+                          st.integers(0, 100_000)),
+        span=st.sampled_from([None, 1, 4, 16]),
     )
-    @example(timeline=([(100, 200)], 1000), queries=[(100, False, 0)],
-             warmup=0, shed=None, offline=None, horizon=None)
+    @example(timeline=([(100, 200)], 1000), origin=0,
+             queries=[(100, False, 0)], bulk=None, warmup=0, shed=None,
+             offline=None, horizon=None, span=None)
+    # A pause at cycle 0 and one ending at the period: one flat stretch
+    # across every epoch edge. Zero work at a pause start waits it out,
+    # across the edge too (900 -> 1100, 1000 -> 1100, 1900 -> 2100);
+    # work that fits exactly completes at the pause start (850 + 50 ->
+    # 900, 1700 + 200 -> 1900).
+    @example(timeline=([(0, 100), (900, 1000)], 1000), origin=0,
+             queries=[(0, False, 0), (850, False, 50), (50, False, 0),
+                      (100, False, 0), (700, False, 200), (10, False, 0),
+                      (0, True, 100)],
+             bulk=None, warmup=0, shed=None, offline=None, horizon=None,
+             span=None)
+    # A shed burst ends at an arrival exactly ``shed`` behind the last
+    # completion (250 - 250 = 0 is not > 0): that one is served.
+    @example(timeline=([(100, 200)], 1000), origin=0,
+             queries=[(0, False, 150), (240, False, 10), (10, False, 10)],
+             bulk=None, warmup=0, shed=0, offline=None, horizon=None,
+             span=None)
+    # Overloaded with every queued query shed: a piece opened at a query
+    # that queued would be served as if exact.
+    @example(timeline=([(0, 0)], 1), origin=0, queries=[],
+             bulk=(1000, 0), warmup=0, shed=0, offline=None, horizon=None,
+             span=None)
     def test_replay_matches_per_query_reference(
-            self, timeline, queries, warmup, shed, offline, horizon):
+            self, timeline, origin, queries, bulk, warmup, shed, offline,
+            horizon, span):
         """Each query arrives ``gap`` after the one before, or with
         ``snap`` at the next tiled pause start from there: arrivals on a
-        pause edge are what a wrong fast path gets wrong."""
+        pause edge are what a wrong inverse gets wrong. ``bulk`` appends
+        a thousand-odd seeded arrivals faster than the server drains
+        them, so a shedding replay resumes after many bursts, from
+        stretches as short as ``span`` (``SHED_BLOCK``). A schedule from
+        a negative ``origin`` is refused, as the reference refuses it."""
         windows, period = timeline
+        queries = list(queries)
+        if bulk is not None:
+            count, seed = bulk
+            rng = random.Random(seed)
+            queries += [
+                (rng.choice((0, rng.randrange(60), rng.randrange(400))),
+                 rng.random() < 0.2,
+                 rng.choice((0, rng.randrange(40), rng.randrange(300))))
+                for _ in range(count)]
         arrivals, services = [], []
-        t = 0
+        t = origin
         for gap, snap, service in queries:
             t += gap
             if snap:
                 t = next_pause_start(windows, period, t)
             arrivals.append(t)
             services.append(service)
-        result = QueryReplay(windowed_run(windows, period)).replay(
-            arrivals, warmup=warmup, horizon=horizon,
-            shed_backlog_cycles=shed, offline_after_cycle=offline,
-            services=services)
-        records, counters = reference_replay(
-            windows, period, arrivals, services, warmup=warmup,
-            horizon=horizon, shed_backlog_cycles=shed,
-            offline_after_cycle=offline)
+        kwargs = dict(warmup=warmup, horizon=horizon,
+                      shed_backlog_cycles=shed, offline_after_cycle=offline)
+        sim = QueryReplay(windowed_run(windows, period))
+        with mock.patch.object(latency, "SHED_BLOCK",
+                               span or latency.SHED_BLOCK):
+            try:
+                records, counters = reference_replay(
+                    windows, period, arrivals, services, **kwargs)
+            except ValueError as refused:
+                with pytest.raises(ValueError, match=re.escape(str(refused))):
+                    sim.replay(arrivals, services=services, **kwargs)
+                return
+            result = sim.replay(arrivals, services=services, **kwargs)
         assert result.records == records
         assert (result.arrived, result.completed, result.in_flight,
                 result.shed) == counters
@@ -441,11 +594,16 @@ class TestServiceTimeStream:
     )
     @example(n=1, mean=120_000, sigma=0.35, seed=0, block=1)
     def test_matches_lognormvariate(self, n, mean, sigma, seed, block):
+        reference = reference_service_times(n, mean, sigma, seed)
         with mock.patch.object(_stdlib_stream, "BLOCK_ATTEMPTS",
                                block or _stdlib_stream.BLOCK_ATTEMPTS):
+            if any(v >> 63 for v in reference):  # past int64: refused
+                with pytest.raises(ValueError, match="leaves int64"):
+                    draw_service_times(n, mean, sigma, seed)
+                return
             drawn = draw_service_times(n, mean, sigma, seed)
-        assert drawn == reference_service_times(n, mean, sigma, seed)
-        assert all(type(v) is int for v in drawn)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == reference
 
     @pytest.mark.parametrize("direction", [np.inf, -np.inf])
     def test_log_band_redecides_acceptance_with_math_log(self, monkeypatch,
@@ -480,18 +638,26 @@ class TestServiceTimeStream:
             for _ in range(7):
                 xs.append(x)
                 x = math.nextafter(x, math.inf)
-        xs += [50.0, 200.0, -math.inf, -745.2]
+        xs += [42.0, math.log(2**63), -math.inf, -745.2]
         expected = [max(1000, int(math.exp(x))) for x in xs]
-        assert expected[-4] == int(math.exp(50.0)) > 2**63  # a big int
+        assert 2**52 < expected[-4] < expected[-3] < 2**63  # int64 holds
         monkeypatch.setattr(np, "exp", skewed(np.exp, direction, ulps=2))
         naive = np.maximum(np.trunc(np.exp(np.array(xs))), 1000.0)
         assert naive.tolist() != expected  # the trap is set
-        assert floored_exp_ints(np.array(xs), 1000) == expected
+        assert floored_exp_ints(np.array(xs), 1000).tolist() == expected
 
     @pytest.mark.parametrize("x,error", [
         (1000.0, OverflowError), (math.nan, ValueError)])
     def test_exp_raises_where_the_stdlib_does(self, x, error):
         with pytest.raises(error):
+            floored_exp_ints(np.array([5.0, x]), 1000)
+
+    @pytest.mark.parametrize("x", [50.0, math.log(2**63) + 1e-12, 200.0])
+    def test_draw_past_int64_raises(self, x):
+        """The stdlib's draw would be a Python int of 2**63 or more; an
+        int64 array cannot hold it, so the draw is refused."""
+        assert int(math.exp(x)) >> 63
+        with pytest.raises(ValueError, match="leaves int64"):
             floored_exp_ints(np.array([5.0, x]), 1000)
 
     def test_sorted_latencies_are_ascending_ints(self):
