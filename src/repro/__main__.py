@@ -194,12 +194,16 @@ def _cmd_run_all(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.engine.trace import write_chrome_trace, write_csv, write_jsonl
     from repro.harness.tracing import render_summary, trace_collection
+    from repro.workloads.profiles import ScaleError
 
     try:
         capture = trace_collection(args.target, scale=args.scale,
                                    seed=args.seed, collectors=args.collector)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
+        return 2
+    except ScaleError as exc:
+        print(f"{args.target} --scale {args.scale}: {exc}", file=sys.stderr)
         return 2
     print(render_summary(capture))
     if args.out:
@@ -231,10 +235,21 @@ def _cmd_fault_drill(args) -> int:
     )
     from repro.heap.verify import heap_digest
     from repro.workloads import DACAPO_PROFILES, HeapGraphBuilder
+    from repro.workloads.profiles import ScaleError
 
     profile = DACAPO_PROFILES.get(args.benchmark)
     if profile is None:
         print(f"unknown benchmark {args.benchmark!r}; try `list`",
+              file=sys.stderr)
+        return 2
+    if args.relocate_blocks < 0:
+        print(f"--relocate-blocks must be at least 0 "
+              f"(got {args.relocate_blocks})", file=sys.stderr)
+        return 2
+    try:
+        profile.scaled_objects(args.scale)
+    except ScaleError as exc:
+        print(f"{args.benchmark} --scale {args.scale}: {exc}",
               file=sys.stderr)
         return 2
     spec = args.spec or os.environ.get(ENV_VAR, "").strip() or "drop:dram"

@@ -169,6 +169,9 @@ class HeapBuildCache:
         words = zeroed_words(n_words)
         for block, content in zip(blocks, contents):
             words[block_span(block)] = content
+        # The entry names its blocks: load them without scanning the
+        # array, and the restore below finds its clean point in place.
+        heap.mem.restore(words, blocks)
         checkpoint.words = words
         heap.restore(checkpoint)
         rng = None

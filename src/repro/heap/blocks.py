@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+import numpy as np
+
 from repro.memory.config import WORD_BYTES
 from repro.memory.memimage import PhysicalMemory
 
@@ -74,6 +76,21 @@ class BlockList:
         )
         self.mem.write_word(self.base, index + 1)
         return BlockDescriptor(index, base_vaddr, cell_bytes, n_cells, freelist_head)
+
+    def append_many(self, base_vaddr: np.ndarray, cell_bytes: np.ndarray,
+                    n_cells: np.ndarray, freelist_head: np.ndarray) -> None:
+        """Append one descriptor per element of the columns, in one store."""
+        first = self.count
+        count = len(base_vaddr)
+        if not count:
+            return
+        self._descriptor_addr(first + count - 1)  # raises if it overflows
+        descriptors = np.stack(
+            [base_vaddr, cell_bytes, n_cells, freelist_head], axis=1)
+        start = self._descriptor_addr(first) // WORD_BYTES
+        index = np.arange(start, start + DESCRIPTOR_WORDS * count)
+        self.mem.scatter(np.append(index, self.base // WORD_BYTES),
+                         np.append(descriptors.ravel(), first + count))
 
     def read(self, index: int) -> BlockDescriptor:
         if not 0 <= index < self.count:

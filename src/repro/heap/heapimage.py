@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -111,13 +111,7 @@ class ManagedHeap:
         """
         meta = self._metadata
         if meta is None:
-            meta = HeapMetadata(
-                self.memsys.phys,
-                self.objects,
-                VIRT_OFFSET,
-                ms_pstart=self.plan.marksweep.pstart,
-                block_class=self.allocator._block_class,
-            )
+            meta = HeapMetadata(self.memsys.phys, self.objects, VIRT_OFFSET)
             self._metadata = meta
         return meta
 
@@ -150,10 +144,47 @@ class ManagedHeap:
             return self._alloc_bump(self.plan.code, shape)
         raise ValueError(f"unknown space {space!r}")
 
+    def alloc_many(self, n_refs: Sequence[int], payload_words: Sequence[int],
+                   is_array: Sequence[bool]) -> List[int]:
+        """Allocate one object per element of the shape columns, in order.
+
+        The bulk form of ``alloc(shape)`` on a heap whose allocator has
+        carved nothing yet: MarkSweep-sized objects go through
+        :meth:`SegregatedFreeListAllocator.alloc_many`, larger ones to the
+        large-object space one by one, and the heap ends as a loop of
+        :meth:`alloc` would leave it. Returns the references.
+        """
+        n_refs = np.asarray(n_refs, dtype=np.int64)
+        payload_words = np.asarray(payload_words, dtype=np.int64)
+        is_array = np.asarray(is_array, dtype=bool)
+        fits = 2 + n_refs + payload_words <= self.size_classes.max_words
+        addrs = np.empty(len(n_refs), dtype=np.int64)
+        addrs[fits] = self.allocator.alloc_many(
+            n_refs[fits], payload_words[fits], is_array[fits])
+        for i in np.flatnonzero(~fits).tolist():
+            addrs[i] = self._bump_init(self.plan.los, ObjectShape(
+                int(n_refs[i]), int(payload_words[i]), bool(is_array[i])),
+                align=PAGE_SIZE)
+        refs = addrs.tolist()
+        self.los_objects.extend(addrs[~fits].tolist())
+        self.objects.extend(refs)
+        self._metadata = None
+        return refs
+
     def _alloc_bump(
         self, target: Space, shape: ObjectShape, align: int = WORD_BYTES,
         track_los: bool = False,
     ) -> int:
+        addr = self._bump_init(target, shape, align)
+        self.objects.append(addr)
+        self._metadata = None
+        if track_los:
+            self.los_objects.append(addr)
+        return addr
+
+    def _bump_init(self, target: Space, shape: ObjectShape,
+                   align: int = WORD_BYTES) -> int:
+        """Bump-allocate and initialise an object; returns its reference."""
         nbytes = BidirectionalLayout.words_needed(shape) * WORD_BYTES
         if align == PAGE_SIZE:
             nbytes = -(-nbytes // PAGE_SIZE) * PAGE_SIZE
@@ -162,12 +193,7 @@ class ManagedHeap:
             self.memsys.phys, cell_paddr, shape,
             mark=self.allocator.alloc_mark_value,
         )
-        addr = self.to_virtual(status_paddr)
-        self.objects.append(addr)
-        self._metadata = None
-        if track_los:
-            self.los_objects.append(addr)
-        return addr
+        return self.to_virtual(status_paddr)
 
     def new_object(
         self, n_refs: int, payload_words: int = 0, is_array: bool = False,

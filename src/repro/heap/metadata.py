@@ -14,9 +14,10 @@ lists indexed by a single ``addr -> slot`` dict:
   and header reads skip per-access address translation;
 * ``header_word`` — the status word at build time (mark/tag bits included,
   for reference; mark bits are *mutable*, so liveness checks must still
-  read memory — see :meth:`is_marked`);
-* ``sizeclass`` — the allocator size class for MarkSweep-space objects,
-  ``-1`` for bump-allocated (LOS/immortal/code) objects.
+  read memory — see :meth:`is_marked`).
+
+The columns are decoded from the status words in one vectorised pass
+and held as Python lists, which the per-object accessors index fastest.
 
 The sidecar is a pure cache: every answer it gives equals what the
 equivalent ``ObjectView`` chain computes from memory (unit-tested in
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.heap.blocks import BLOCK_BYTES
+import numpy as np
+
 from repro.heap.header import ARRAY_FLAG, MARK_BIT, REFCOUNT_MASK, REFCOUNT_SHIFT
 from repro.memory.config import WORD_BYTES
 
@@ -47,57 +49,25 @@ class HeapMetadata:
         "status_index",
         "ref_base_index",
         "header_word",
-        "sizeclass",
     )
 
-    def __init__(
-        self,
-        mem,
-        objects: Iterable[int],
-        virt_offset: int,
-        ms_pstart: Optional[int] = None,
-        block_class: Optional[Dict[int, int]] = None,
-    ):
+    def __init__(self, mem, objects: Iterable[int], virt_offset: int):
         self.mem = mem
         self.virt_offset = virt_offset
-        index: Dict[int, int] = {}
-        n_refs_col: List[int] = []
-        is_array_col: List[bool] = []
-        status_index_col: List[int] = []
-        ref_base_index_col: List[int] = []
-        header_col: List[int] = []
-        sizeclass_col: List[int] = []
-        words = mem.words
-        refcount_mask = REFCOUNT_MASK
-        refcount_shift = REFCOUNT_SHIFT
-        array_flag = ARRAY_FLAG
-        word_bytes = WORD_BYTES
-        for addr in objects:
-            if addr in index:
-                continue
-            status_paddr = addr - virt_offset
-            status_idx = status_paddr // word_bytes
-            header = int(words[status_idx])
-            n = (header >> refcount_shift) & refcount_mask
-            index[addr] = len(n_refs_col)
-            n_refs_col.append(n)
-            is_array_col.append(bool(header & array_flag))
-            status_index_col.append(status_idx)
-            ref_base_index_col.append(status_idx - n)
-            header_col.append(header)
-            if ms_pstart is not None and block_class is not None \
-                    and status_paddr >= ms_pstart:
-                block = (status_paddr - ms_pstart) // BLOCK_BYTES
-                sizeclass_col.append(block_class.get(block, -1))
-            else:
-                sizeclass_col.append(-1)
-        self.index = index
-        self.n_refs = n_refs_col
-        self.is_array = is_array_col
-        self.status_index = status_index_col
-        self.ref_base_index = ref_base_index_col
-        self.header_word = header_col
-        self.sizeclass = sizeclass_col
+        # Each address once, at its first occurrence.
+        addrs = list(dict.fromkeys(objects))
+        self.index: Dict[int, int] = dict(zip(addrs, range(len(addrs))))
+        status_index = (np.array(addrs, dtype=np.int64) - virt_offset) \
+            // WORD_BYTES
+        header = mem.words[status_index]
+        n_refs = ((header >> np.uint64(REFCOUNT_SHIFT))
+                  & np.uint64(REFCOUNT_MASK)).astype(np.int64)
+        self.n_refs: List[int] = n_refs.tolist()
+        self.is_array: List[bool] = \
+            ((header & np.uint64(ARRAY_FLAG)) != 0).tolist()
+        self.status_index: List[int] = status_index.tolist()
+        self.ref_base_index: List[int] = (status_index - n_refs).tolist()
+        self.header_word: List[int] = header.tolist()
 
     def __len__(self) -> int:
         return len(self.n_refs)

@@ -43,12 +43,6 @@ class ObjectView:
         self.meta = meta
         self._slot = meta.index.get(addr) if meta is not None else None
 
-    def attach_meta(self, meta) -> "ObjectView":
-        """Bind a metadata sidecar; a no-op slot if ``addr`` is untracked."""
-        self.meta = meta
-        self._slot = meta.index.get(self.addr) if meta is not None else None
-        return self
-
     # -- address translation ------------------------------------------------
 
     @property

@@ -14,7 +14,7 @@ paired.
 from __future__ import annotations
 
 import mmap
-from typing import Iterable, List, Set
+from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -185,6 +185,22 @@ class PhysicalMemory:
         self.words[idx : idx + count] = np.uint64(value & _U64_MASK)
         self.note_dirty(idx, count)
 
+    def scatter(self, index: np.ndarray, values) -> None:
+        """Write ``values`` at the word indices ``index``, in one store.
+
+        The bulk writers (the allocator's columnar carve, the graph
+        generator's deferred wiring) go through here. An index must not
+        repeat: which of two writes to one word lands is unspecified.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        if not index.size:
+            return
+        if index.min() < 0 or index.max() >= len(self.words):
+            raise IndexError("scatter index outside physical memory")
+        self.words[index] = np.asarray(values, dtype=np.uint64)
+        self._dirty_blocks.update(
+            np.flatnonzero(np.bincount(index >> BLOCK_SHIFT)).tolist())
+
     # -- snapshots (runs mutate mark bits / free lists) --------------------
 
     def snapshot(self) -> np.ndarray:
@@ -208,15 +224,18 @@ class PhysicalMemory:
         self._dirty_blocks.clear()
         return snap
 
-    def restore(self, snap: np.ndarray) -> None:
+    def restore(self, snap: np.ndarray,
+                blocks: Optional[Iterable[int]] = None) -> None:
         """Restore the image to ``snap`` and make it the clean point.
 
         Restoring the current clean point copies only the blocks written
         since it was established — the common checkpoint/collect/restore/
         collect pattern of every comparison harness. Any other snapshot
         (an older one, or an array from elsewhere, such as a heap-cache
-        entry) is scanned for its nonzero blocks; the image's live blocks
-        outside that set are zeroed and the set is copied in.
+        entry) is scanned for its nonzero blocks, unless the caller names
+        them in ``blocks`` (a set covering every nonzero block of
+        ``snap``, as the heap cache knows from its entry); the image's
+        live blocks outside that set are zeroed and the set is copied in.
         """
         if snap.shape != self.words.shape:
             raise ValueError("snapshot shape mismatch")
@@ -226,7 +245,7 @@ class PhysicalMemory:
                 span = block_span(block)
                 words[span] = snap[span]
         else:
-            blocks = _nonzero_blocks(snap)
+            blocks = _nonzero_blocks(snap) if blocks is None else set(blocks)
             for block in self.live_blocks() - blocks:
                 words[block_span(block)] = 0
             for block in blocks:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.heap.heapimage import ManagedHeap
 from repro.heap.layout import ObjectShape
-from repro.heap.objectmodel import ObjectView
-from repro.memory.config import MemorySystemConfig
+from repro.memory.config import WORD_BYTES, MemorySystemConfig
+from repro.memory.paging import VIRT_OFFSET
 from repro.workloads.profiles import BenchmarkProfile
 
 
@@ -89,72 +89,93 @@ class HeapGraphBuilder:
             return 0
         return min(int(rng.expovariate(1.0 / mean)), int(mean * 8) + 1)
 
-    def _sample_shape(self, rng: random.Random) -> ObjectShape:
+    def _sample_shape(self, rng: random.Random) -> Tuple[int, int, bool]:
+        """One object's ``(n_refs, payload words, is_array)``."""
         p = self.profile
         if rng.random() < p.array_fraction:
             n_refs = max(1, self._geometric(rng, p.mean_array_refs))
-            n_refs = min(n_refs, self._MAX_MS_REFS)
-            return ObjectShape(n_refs=n_refs, n_payload_words=1, is_array=True)
+            return min(n_refs, self._MAX_MS_REFS), 1, True
         n_refs = min(self._geometric(rng, p.mean_refs), 12)
-        payload = self._geometric(rng, p.mean_payload_words)
-        return ObjectShape(n_refs=n_refs, n_payload_words=payload)
+        return n_refs, self._geometric(rng, p.mean_payload_words), False
 
     # -- construction -------------------------------------------------------------
 
-    def build(self, heap: Optional[ManagedHeap] = None) -> BuiltHeap:
-        rng = random.Random(self.seed)
-        p = self.profile
-        n = p.scaled_objects(self.scale)
-        if heap is None:
-            heap = ManagedHeap(config=self.config or self._default_config(n))
+    def build(self) -> BuiltHeap:
+        """Generate the heap in a fresh :class:`ManagedHeap`.
 
-        # 1. Allocate MarkSweep-space objects.
-        views: List[ObjectView] = []
-        for _ in range(n):
-            views.append(heap.view(heap.alloc(self._sample_shape(rng))))
+        Objects are handled as columns — reference, reference count and
+        first reference-slot word index — rather than per-object views,
+        and the wiring's (slot, target) pairs are written in one scatter
+        at the end: every slot is written at most once, so the order of
+        the writes cannot matter. The rng draws happen in the order a
+        per-object build makes them (allocation draws nothing).
+        """
+        rng = random.Random(self.seed)
+        n = self.profile.scaled_objects(self.scale)
+        heap = ManagedHeap(config=self.config or self._default_config(n))
+        built = BuiltHeap(heap=heap, profile=self.profile, scale=self.scale,
+                          seed=self.seed, rng=rng,
+                          **self._generate(rng, heap, n))
+        self._verify(built)
+        return built
+
+    def _generate(self, rng: random.Random, heap: ManagedHeap,
+                  n: int) -> Dict[str, Any]:
+        """Allocate and wire the graph; returns the ground-truth sets.
+
+        A method of its own so that its columns and wiring lists are
+        freed before ``_verify`` builds the heap's layout sidecar.
+        """
+        p = self.profile
+
+        # 1. MarkSweep-space objects: every shape, then one bulk allocation.
+        n_refs_col, payload_col, array_col = zip(
+            *[self._sample_shape(rng) for _ in range(n)])
+        addrs = heap.alloc_many(n_refs_col, payload_col, array_col)
+        n_refs = list(n_refs_col)
 
         # 2. Large-object-space arrays.
         n_los = max(0, int(n * p.los_fraction))
         for _ in range(n_los):
             refs = rng.randint(*self._LOS_REFS_RANGE)
-            views.append(
-                heap.view(heap.alloc(ObjectShape(refs, 2, is_array=True)))
-            )
+            addrs.append(heap.alloc(ObjectShape(refs, 2, is_array=True)))
+            n_refs.append(refs)
 
         # 3. Immortal statics (always roots: "static variables", Fig. 2).
         n_statics = max(4, n // 500)
-        statics: List[ObjectView] = []
+        statics: List[int] = []
+        static_refs: List[int] = []
         for _ in range(n_statics):
-            statics.append(heap.new_object(rng.randint(2, 4), 1,
-                                           space="immortal"))
+            refs = rng.randint(2, 4)
+            statics.append(heap.alloc(ObjectShape(refs, 1), space="immortal"))
+            static_refs.append(refs)
 
-        # Allocation is complete: build the SoA layout sidecar once and bind
-        # it to every view, so the wiring below (n_refs reads and set_ref
-        # writes, several per object) runs on flat-array lookups instead of
-        # re-decoding status words from memory.
-        meta = heap.metadata()
-        for v in views:
-            v.attach_meta(meta)
-        for s in statics:
-            s.attach_meta(meta)
+        def first_slot(addr: int, refs: int) -> int:
+            """Word index of the first reference slot (bidirectional)."""
+            return (addr - VIRT_OFFSET) // WORD_BYTES - refs
 
         # 4. Partition into live / garbage.
-        indices = list(range(len(views)))
+        indices = list(range(len(addrs)))
         rng.shuffle(indices)
-        n_live = max(1, int(len(views) * p.live_fraction))
-        live_views = [views[i] for i in indices[:n_live]]
-        garbage_views = [views[i] for i in indices[n_live:]]
+        n_live = max(1, int(len(addrs) * p.live_fraction))
+        live = indices[:n_live]
+        garbage = indices[n_live:]
+        live_addrs = [addrs[i] for i in live]
+        hot = live_addrs[: p.hot_objects]
 
-        hot = [v.addr for v in live_views[: p.hot_objects]]
+        # Deferred wiring: (slot word index, target) pairs.
+        slots: List[int] = []
+        targets: List[int] = []
 
         # 5. Spanning structure over the live set.
-        roots = [s.addr for s in statics]
+        roots = list(statics)
         extra_roots = max(8, int(n_live * p.root_fraction))
-        free_slots: List[Tuple[ObjectView, int]] = []
-        for s in statics:
-            free_slots.extend((s, i) for i in range(s.n_refs))
-        connected: List[ObjectView] = []
-        for v in live_views:
+        free_slots: List[int] = []
+        for addr, refs in zip(statics, static_refs):
+            base = first_slot(addr, refs)
+            free_slots.extend(range(base, base + refs))
+        for i in live:
+            addr = addrs[i]
             if free_slots:
                 # Mix of uniform and recency-biased parents: shallow
                 # BFS-like fan-out plus deep chains, like real heaps.
@@ -163,63 +184,56 @@ class HeapGraphBuilder:
                                            len(free_slots))
                 else:
                     slot_i = rng.randrange(len(free_slots))
-                parent, ref_i = free_slots.pop(slot_i)
-                parent.set_ref(ref_i, v.addr)
+                slots.append(free_slots.pop(slot_i))
+                targets.append(addr)
             else:
-                roots.append(v.addr)
-            connected.append(v)
-            free_slots.extend((v, i) for i in range(v.n_refs))
+                roots.append(addr)
+            base = first_slot(addr, n_refs[i])
+            free_slots.extend(range(base, base + n_refs[i]))
 
         # 6. Extra roots straight into the live set.
         for _ in range(extra_roots):
-            roots.append(rng.choice(live_views).addr)
+            roots.append(rng.choice(live_addrs))
 
         # 7. Fill remaining live slots: nulls, hot refs, or random live refs.
         # Hot references are *bursty*: objects created around the same time
         # tend to share the same hot target (a common class, table or
         # registry object), which is what makes a small recently-marked
         # cache effective (Fig. 21b).
-        live_addrs = [v.addr for v in live_views]
         current_hot = rng.choice(hot) if hot else 0
-        for parent, ref_i in free_slots:
+        for slot in free_slots:
             r = rng.random()
             if r < p.null_ref_fraction:
                 continue  # stays null
             if r < p.null_ref_fraction + p.hot_ref_fraction and hot:
                 if rng.random() < 0.2:
                     current_hot = rng.choice(hot)
-                parent.set_ref(ref_i, current_hot)
+                target = current_hot
             else:
-                parent.set_ref(ref_i, rng.choice(live_addrs))
+                target = rng.choice(live_addrs)
+            slots.append(slot)
+            targets.append(target)
 
         # 8. Garbage structure: spanning chains among garbage plus
         # references into the live set (legal; never marked).
-        garbage_addrs = [v.addr for v in garbage_views]
-        for idx, v in enumerate(garbage_views):
-            for ref_i in range(v.n_refs):
+        garbage_addrs = [addrs[i] for i in garbage]
+        for idx, i in enumerate(garbage):
+            base = first_slot(addrs[i], n_refs[i])
+            for slot in range(base, base + n_refs[i]):
                 r = rng.random()
                 if r < p.null_ref_fraction:
                     continue
                 if r < 0.6 and idx > 0:
-                    v.set_ref(ref_i, garbage_views[rng.randrange(idx)].addr)
-                elif garbage_addrs:
-                    v.set_ref(ref_i, rng.choice(garbage_addrs))
+                    target = garbage_addrs[rng.randrange(idx)]
+                else:
+                    target = rng.choice(garbage_addrs)
+                slots.append(slot)
+                targets.append(target)
 
+        heap.mem.scatter(slots, targets)
         heap.set_roots(roots)
-
-        built = BuiltHeap(
-            heap=heap,
-            profile=p,
-            scale=self.scale,
-            seed=self.seed,
-            live={v.addr for v in live_views} | {s.addr for s in statics},
-            garbage={v.addr for v in garbage_views},
-            hot=hot,
-            roots=roots,
-            rng=rng,
-        )
-        self._verify(built)
-        return built
+        return {"live": set(live_addrs) | set(statics),
+                "garbage": set(garbage_addrs), "hot": hot, "roots": roots}
 
     def _default_config(self, n_objects: int) -> MemorySystemConfig:
         """Size physical memory generously for the object count."""

@@ -76,11 +76,11 @@ class ReplayResult:
             self.index.tolist(), self.intended.tolist(),
             self.completion.tolist(), self.near_gc.tolist())]
 
-    def sorted_latencies(self) -> List[int]:
-        """The serviced queries' latencies in cycles, ascending."""
+    def sorted_latencies(self) -> np.ndarray:
+        """The serviced queries' latencies in cycles, ascending (int64)."""
         latencies = self.completion - self.intended
         latencies.sort()
-        return latencies.tolist()
+        return latencies
 
     @property
     def conserved(self) -> bool:
@@ -398,12 +398,12 @@ def _sorted_latency_cycles(records: Sequence[QueryRecord]) -> List[int]:
 
 
 def _nearest_rank_ms(latencies: Sequence[int], p: float) -> float:
-    """Nearest-rank ``p``-th percentile of sorted cycle latencies, in ms;
-    raises on none."""
-    if not latencies:
+    """Nearest-rank ``p``-th percentile of sorted cycle latencies (a list
+    or an int64 array), in ms; raises on none."""
+    if len(latencies) == 0:
         raise ValueError("no records")
     rank = max(1, math.ceil(p / 100.0 * len(latencies)))
-    return latencies[rank - 1] / 1e6
+    return int(latencies[rank - 1]) / 1e6
 
 
 def latency_summary(

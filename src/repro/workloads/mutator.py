@@ -23,6 +23,7 @@ from typing import List, Optional, Union
 from repro.core.concurrent.collect import ConcurrentCycle, ConcurrentGCResult
 from repro.core.config import GCUnitConfig, HardwareGCResult
 from repro.core.unit import GCUnit
+from repro.heap.layout import ObjectShape
 from repro.swgc.cpu import CPUConfig
 from repro.swgc.marksweep import SoftwareCollector, SoftwareGCResult
 from repro.workloads.graphgen import BuiltHeap
@@ -178,7 +179,7 @@ class ConcurrentMutator:
             yield self.period
             self.ops += 1
             if rng.random() < self.alloc_fraction and allocating:
-                shape = self._builder._sample_shape(rng)
+                shape = ObjectShape(*self._builder._sample_shape(rng))
                 try:
                     addr = heap.alloc(shape)
                 except MemoryError:
@@ -282,7 +283,7 @@ class MutatorModel:
         builder = HeapGraphBuilder(profile, self.built.scale, self.built.seed)
         new_addrs = []
         for _ in range(n_new):
-            shape = builder._sample_shape(rng)
+            shape = ObjectShape(*builder._sample_shape(rng))
             addr = heap.alloc(shape)
             new_addrs.append(addr)
             view = heap.view(addr)

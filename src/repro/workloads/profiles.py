@@ -22,6 +22,11 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 
+class ScaleError(ValueError):
+    """A heap scale too small to build a heap from; the CLI reports it
+    as bad input under the ``--scale`` flag."""
+
+
 @dataclass(frozen=True)
 class BenchmarkProfile:
     """Heap and mutator statistics for one benchmark."""
@@ -48,7 +53,7 @@ class BenchmarkProfile:
     def scaled_objects(self, scale: float) -> int:
         n = int(self.n_objects * scale)
         if n < 64:
-            raise ValueError(
+            raise ScaleError(
                 f"scale {scale} leaves only {n} objects; use a larger scale"
             )
         return n

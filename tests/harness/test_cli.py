@@ -82,6 +82,22 @@ class TestCLI:
         assert err.startswith("fig15 --scale -1.0: scale -1.0 leaves only")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,start", [
+        (["trace", "avrora", "--scale", "0"],
+         "avrora --scale 0.0: scale 0.0 leaves only 0 objects"),
+        (["fault-drill", "--benchmark", "avrora", "--scale", "0"],
+         "avrora --scale 0.0: scale 0.0 leaves only 0 objects"),
+        (["fault-drill", "--mode", "concurrent",
+          "--relocate-blocks", "-1"],
+         "--relocate-blocks must be at least 0 (got -1)"),
+    ])
+    def test_heap_build_inputs_are_refused_by_flag(self, capsys, argv,
+                                                   start):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(start)
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag,value,shown", [
         ("--timeout", "-1", "-1"),
         ("--timeout", "0", "0"),

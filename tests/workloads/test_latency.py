@@ -19,6 +19,7 @@ from repro.workloads.latency import (
     QuerySimulator,
     draw_service_times,
     latency_cdf,
+    latency_summary,
     percentile_summary,
     tail_ratio,
 )
@@ -664,7 +665,17 @@ class TestServiceTimeStream:
         sim = QueryReplay(windowed_run([(100, 200)], period=1000))
         result = sim.replay([0, 90, 300, 310], services=[50, 30, 5, 0])
         latencies = result.sorted_latencies()
-        assert latencies == sorted(
+        assert latencies.tolist() == sorted(
             r.completion - r.intended_start for r in result.records)
-        assert all(type(v) is int for v in latencies)
-        assert sim.replay([]).sorted_latencies() == []
+        assert latencies.dtype == np.int64
+        assert sim.replay([]).sorted_latencies().size == 0
+
+    def test_summary_of_the_array_equals_the_summary_of_the_list(self):
+        """The fleet hands ``latency_summary`` the sorted array; its ranks
+        are the same Python floats the list gives."""
+        sim = QueryReplay(windowed_run([(100, 200)], period=1000))
+        result = sim.replay(list(range(0, 4000, 37)), warmup=3)
+        array = latency_summary(result.sorted_latencies())
+        listed = latency_summary(result.sorted_latencies().tolist())
+        assert array == listed
+        assert all(type(v) is float for v in array.values())
