@@ -192,15 +192,20 @@ def _cmd_run_all(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.engine.faultplane import HWFaultSpecError, plane_from_env
     from repro.engine.trace import write_chrome_trace, write_csv, write_jsonl
     from repro.harness.tracing import render_summary, trace_collection
     from repro.workloads.profiles import ScaleError
 
     try:
+        plane_from_env()
         capture = trace_collection(args.target, scale=args.scale,
                                    seed=args.seed, collectors=args.collector)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
+        return 2
+    except HWFaultSpecError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except ScaleError as exc:
         print(f"{args.target} --scale {args.scale}: {exc}", file=sys.stderr)
@@ -331,6 +336,7 @@ def _cmd_fault_drill(args) -> int:
 def _cmd_fleet(args) -> int:
     import hashlib
 
+    from repro.engine.faultplane import plane_from_env
     from repro.fleet.admission import POLICIES, resolve_policy
     from repro.fleet.faults import FleetFaultSpec, FleetFaultSpecError
     from repro.harness.diskcache import CAP_VARS, max_mb_from_env
@@ -370,9 +376,11 @@ def _cmd_fleet(args) -> int:
     try:
         for policy in policies:
             resolve_policy(policy)
-        # Base runs are stored in REPRO_SIM_CACHE: parse its cap up front.
+        # Base runs are stored in REPRO_SIM_CACHE: parse its cap up front,
+        # and the fault plane their heaps would arm.
         for var in CAP_VARS:
             max_mb_from_env(var)
+        plane_from_env()
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -286,4 +286,7 @@ def plane_from_env(environ=None) -> Optional[FaultPlane]:
     raw = env.get(ENV_VAR, "").strip()
     if not raw:
         return None
-    return parse_hwfault_spec(raw)
+    try:
+        return parse_hwfault_spec(raw)
+    except HWFaultSpecError as exc:
+        raise HWFaultSpecError(f"{ENV_VAR}={raw!r}: {exc}") from None

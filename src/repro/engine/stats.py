@@ -9,8 +9,11 @@ Fig. 18), time series (bandwidth over a pause, Fig. 16), histograms
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter as PyCounter
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 
 class Counter:
@@ -241,34 +244,60 @@ class BandwidthTracker:
 
     The simulated clock is 1 GHz, so a cycle is 1 ns and ``bytes/cycle``
     equals GB/s — the unit used in Figs. 16 and 17.
+
+    One record per memory transaction lives for the whole memory system,
+    so the log is two typed columns, not a list of tuples: ``array('q')``
+    completion times and ``array('I')`` sizes (a transfer is 8..64 B;
+    ``nbytes`` must lie in ``[0, 2**32)``), about 12 B a request against a
+    64 B tuple plus its boxed time. The readers view the columns through
+    ``np.frombuffer`` and sum integer totals, so every value they return
+    equals what a per-record Python loop computes.
     """
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._records: List[Tuple[int, int]] = []
+        self._times = array("q")
+        self._sizes = array("I")
+        self._append_time = self._times.append
+        self._append_size = self._sizes.append
         self.total_bytes = 0
         self.busy_cycles = 0
 
     def record(self, time: int, nbytes: int, busy_cycles: int = 0) -> None:
-        self._records.append((time, nbytes))
+        self._append_time(time)
+        self._append_size(nbytes)
         self.total_bytes += nbytes
         self.busy_cycles += busy_cycles
 
+    def _columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        # Zero-copy views; callers must drop them before the next record,
+        # since an array with exported buffers refuses to grow.
+        return (np.frombuffer(self._times, dtype=np.int64),
+                np.frombuffer(self._sizes, dtype=np.uint32))
+
+    @staticmethod
+    def _bins(times: np.ndarray, sizes: np.ndarray, start: int, nbins: int,
+              bin_cycles: int) -> List[Tuple[int, float]]:
+        """``[(bin start, GB/s), ...]`` for records already inside the
+        ``nbins`` bins from ``start``. Each bin's byte total is an exact
+        integer (a float64 sum is exact below 2**53 bytes), so dividing
+        it by ``bin_cycles`` rounds as Python's ``int / int`` does."""
+        totals = np.bincount((times - start) // bin_cycles,
+                             weights=sizes, minlength=nbins)
+        gbps = (totals / bin_cycles).tolist()
+        return list(zip(range(start, start + nbins * bin_cycles, bin_cycles),
+                        gbps))
+
     def binned(self, bin_cycles: int) -> List[Tuple[int, float]]:
         """Returns [(bin_start_cycle, GB/s within bin), ...] over the span."""
-        if not self._records:
+        if not self._times:
             return []
         if bin_cycles <= 0:
             raise ValueError("bin_cycles must be positive")
-        start = min(t for t, _ in self._records)
-        end = max(t for t, _ in self._records)
-        nbins = (end - start) // bin_cycles + 1
-        totals = [0] * nbins
-        for time, nbytes in self._records:
-            totals[(time - start) // bin_cycles] += nbytes
-        return [
-            (start + i * bin_cycles, totals[i] / bin_cycles) for i in range(nbins)
-        ]
+        times, sizes = self._columns()
+        start = int(times.min())
+        nbins = (int(times.max()) - start) // bin_cycles + 1
+        return self._bins(times, sizes, start, nbins, bin_cycles)
 
     def binned_window(
         self, start: int, end: int, bin_cycles: int
@@ -280,25 +309,25 @@ class BandwidthTracker:
         if end <= start:
             return []
         nbins = (end - start - 1) // bin_cycles + 1
-        totals = [0] * nbins
-        for time, nbytes in self._records:
-            if start <= time < end:
-                totals[(time - start) // bin_cycles] += nbytes
-        return [
-            (start + i * bin_cycles, totals[i] / bin_cycles)
-            for i in range(nbins)
-        ]
+        times, sizes = self._columns()
+        inside = (times >= start) & (times < end)
+        return self._bins(times[inside], sizes[inside], start, nbins,
+                          bin_cycles)
 
     def window_bytes(self, start: int, end: int) -> int:
         """Total bytes transferred in ``[start, end)``."""
-        return sum(b for t, b in self._records if start <= t < end)
+        times, sizes = self._columns()
+        return int(sizes[(times >= start) & (times < end)].sum(dtype=np.int64))
 
     def average_gbps(self, span_cycles: Optional[int] = None) -> float:
-        """Mean bandwidth in GB/s over the recorded span (or a given span)."""
+        """Mean bandwidth in GB/s over the recorded span (or a given span).
+
+        The recorded span runs from the first record to the last in
+        record order, not from the earliest time to the latest."""
         if span_cycles is None:
-            if len(self._records) < 2:
+            if len(self._times) < 2:
                 return 0.0
-            span_cycles = self._records[-1][0] - self._records[0][0]
+            span_cycles = self._times[-1] - self._times[0]
         if span_cycles <= 0:
             return 0.0
         return self.total_bytes / span_cycles

@@ -82,8 +82,10 @@ class GCWatchdog:
         self.check_interval = check_interval
         #: component -> cycle of its most recent heartbeat.
         self.heartbeats: Dict[str, int] = {}
-        #: (component, key) -> (submit cycle, description).
-        self.outstanding: Dict[Tuple[str, Any], Tuple[int, str]] = {}
+        #: (component, key) -> (submit cycle, description template, its
+        #: arguments); see :meth:`note_submit` and :func:`_describe`.
+        self.outstanding: Dict[Tuple[str, Any],
+                               Tuple[int, str, Tuple[Any, ...]]] = {}
         #: probe name -> (component, zero-arg occupancy callable).
         self._probes: Dict[str, Tuple[str, Callable[[], int]]] = {}
         self._stats = None
@@ -126,9 +128,14 @@ class GCWatchdog:
         self.heartbeats[component] = now
 
     def note_submit(self, component: str, key: Any, now: int,
-                    desc: str) -> None:
-        """Track an in-flight request expected to complete promptly."""
-        self.outstanding[(component, key)] = (now, desc)
+                    desc: str, *args: Any) -> None:
+        """Track an in-flight request expected to complete promptly.
+
+        With ``args``, ``desc`` is a :meth:`str.format` template rendered
+        only if a stall is diagnosed, so a supervised run builds no
+        description string per request (``"{0.size}B", req`` keeps the
+        request, not its text)."""
+        self.outstanding[(component, key)] = (now, desc, args)
 
     def note_complete(self, component: str, key: Any) -> None:
         self.outstanding.pop((component, key), None)
@@ -166,11 +173,12 @@ class GCWatchdog:
                     f"cycles at cycle {now} while waiting for {event!r}")
             overdue = self._oldest_overdue(now)
             if overdue is not None:
-                (component, _key), (t0, desc) = overdue
+                (component, _key), (t0, desc, args) = overdue
                 raise self.diagnose(
                     sim, event,
                     f"watchdog: request overdue at cycle {now} "
-                    f"({desc}, submitted to {component} at cycle {t0}, "
+                    f"({_describe(desc, args)}, submitted to {component} "
+                    f"at cycle {t0}, "
                     f"{now - t0} cycles in flight) "
                     f"while waiting for {event!r}")
         if self.completed_at is None:
@@ -232,13 +240,13 @@ class GCWatchdog:
         with non-zero occupancy (work held but not moving); (3) the
         component with the stalest heartbeat."""
         oldest = None
-        for (component, _key), (t0, desc) in self.outstanding.items():
+        for (component, _key), (t0, desc, args) in self.outstanding.items():
             if oldest is None or t0 < oldest[1]:
-                oldest = (component, t0, desc)
+                oldest = (component, t0, desc, args)
         if oldest is not None:
-            component, t0, desc = oldest
-            return component, (f"{desc} (submitted at cycle {t0}, "
-                               f"{now - t0} cycles in flight)")
+            component, t0, desc, args = oldest
+            return component, (f"{_describe(desc, args)} (submitted at "
+                               f"cycle {t0}, {now - t0} cycles in flight)")
         for _name, (component, _probe) in self._probes.items():
             if occupancies.get(_name, 0) > 0:
                 return component, ""
@@ -246,3 +254,9 @@ class GCWatchdog:
             component = min(self.heartbeats, key=lambda c: self.heartbeats[c])
             return component, ""
         return "", ""
+
+
+def _describe(desc: str, args: Tuple[Any, ...]) -> str:
+    """An outstanding request's text: ``desc`` as given, or the template
+    rendered with the arguments :meth:`GCWatchdog.note_submit` kept."""
+    return desc.format(*args) if args else desc

@@ -25,7 +25,7 @@ from typing import Deque, List, Optional, Tuple
 from repro.engine.simulator import Event, Simulator
 from repro.engine.stats import BandwidthTracker, IntervalTracker, StatsRegistry
 from repro.memory.config import DRAMConfig
-from repro.memory.request import AccessKind, MemRequest
+from repro.memory.request import REQUEST_DESC, AccessKind, MemRequest
 
 
 class DRAMController:
@@ -266,10 +266,8 @@ class DRAMController:
         wd = self.stats.watchdog
         if wd is not None:
             wd.beat("dram", now)
-            wd.note_submit(
-                "dram", id(event), req.issue_time,
-                f"{req.kind.value} {req.size}B @0x{req.addr:x} "
-                f"from {req.source}")
+            wd.note_submit("dram", id(event), req.issue_time,
+                           REQUEST_DESC, req)
         plane = self.stats.hwfaults
         fault = plane.fire("dram", now) if plane is not None else None
         if fault is not None:
@@ -342,7 +340,7 @@ class DRAMController:
             self._c_bytes_written.value += req.size
         else:
             self._c_bytes_read.value += req.size
-        self.bandwidth.record(done, req.size, busy_cycles=transfer)
+        self.bandwidth.record(done, req.size, transfer)
         trace = self.stats.trace
         if trace is not None:
             trace.events.append((self.sim.now, "req", req.source, req.kind.value,

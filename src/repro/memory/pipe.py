@@ -17,7 +17,7 @@ from typing import Optional
 from repro.engine.simulator import Completion, Event, Simulator
 from repro.engine.stats import BandwidthTracker, IntervalTracker, StatsRegistry
 from repro.memory.config import PipeConfig
-from repro.memory.request import AccessKind, MemRequest
+from repro.memory.request import REQUEST_DESC, AccessKind, MemRequest
 
 
 class LatencyBandwidthPipe:
@@ -93,10 +93,8 @@ class LatencyBandwidthPipe:
     def _note_lost(self, req: MemRequest, handle) -> None:
         wd = self.stats.watchdog
         if wd is not None:
-            wd.note_submit(
-                "dram", id(handle), req.issue_time,
-                f"{req.kind.value} {req.size}B @0x{req.addr:x} "
-                f"from {req.source}")
+            wd.note_submit("dram", id(handle), req.issue_time,
+                           REQUEST_DESC, req)
 
     @property
     def pending(self) -> int:
@@ -129,7 +127,7 @@ class LatencyBandwidthPipe:
             self._c_bytes_written.value += req.size
         else:
             self._c_bytes_read.value += req.size
-        self.bandwidth.record(done, req.size, busy_cycles=transfer)
+        self.bandwidth.record(done, req.size, transfer)
         trace = self.stats.trace
         if trace is not None:
             trace.events.append((self.sim.now, "req", req.source,

@@ -36,6 +36,12 @@ class AccessKind(enum.Enum):
         return self is not AccessKind.WRITE
 
 
+#: ``str.format`` template describing a request. Components pass it with
+#: the request to ``GCWatchdog.note_submit``, which renders it only when
+#: it diagnoses a stall.
+REQUEST_DESC = "{0.kind.value} {0.size}B @0x{0.addr:x} from {0.source}"
+
+
 @dataclass(slots=True)
 class MemRequest:
     """A single memory-system transaction.

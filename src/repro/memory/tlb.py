@@ -181,7 +181,7 @@ class TLB:
         wd = self.stats.watchdog
         if wd is not None:
             wd.note_submit("tlb", id(event), sim.now,
-                           f"page walk for 0x{vaddr:x} ({self.name})")
+                           "page walk for 0x{:x} ({})", vaddr, self.name)
         plane = self.stats.hwfaults
         fault = None
         if plane is not None:

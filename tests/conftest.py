@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.engine.simulator import Simulator
 from repro.heap.heapimage import ManagedHeap
@@ -11,6 +12,16 @@ from repro.workloads.graphgen import HeapGraphBuilder
 from repro.workloads.profiles import DACAPO_PROFILES
 
 SMALL_MEM = 32 * 1024 * 1024
+
+# Once an example fails, hypothesis's explain phase runs every later
+# example, the whole shrink included, under a line tracer (sys.settrace
+# before Python 3.12). Over simulated heaps that stretches seconds of
+# shrinking into minutes. Every property keeps its examples and its
+# shrinking; only the explanation of the minimal example is dropped.
+settings.register_profile(
+    "no-explain",
+    phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 class BudgetedSimulator(Simulator):

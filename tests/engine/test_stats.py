@@ -145,6 +145,125 @@ class TestBandwidth:
             bw.binned(0)
 
 
+class ListTracker:
+    """The tracker as one ``(time, bytes)`` tuple per record: the oracle
+    the columnar :class:`BandwidthTracker` must agree with exactly."""
+
+    def __init__(self):
+        self.records = []
+
+    def record(self, time, nbytes):
+        self.records.append((time, nbytes))
+
+    def binned(self, bin_cycles):
+        if not self.records:
+            return []
+        start = min(t for t, _ in self.records)
+        end = max(t for t, _ in self.records)
+        return self._bins(start, (end - start) // bin_cycles + 1,
+                          bin_cycles, end + 1)
+
+    def binned_window(self, start, end, bin_cycles):
+        if end <= start:
+            return []
+        return self._bins(start, (end - start - 1) // bin_cycles + 1,
+                          bin_cycles, end)
+
+    def _bins(self, start, nbins, bin_cycles, end):
+        totals = [0] * nbins
+        for time, nbytes in self.records:
+            if start <= time < end:
+                totals[(time - start) // bin_cycles] += nbytes
+        return [(start + i * bin_cycles, totals[i] / bin_cycles)
+                for i in range(nbins)]
+
+    def window_bytes(self, start, end):
+        return sum(b for t, b in self.records if start <= t < end)
+
+    def average_gbps(self, span_cycles=None):
+        if span_cycles is None:
+            if len(self.records) < 2:
+                return 0.0
+            span_cycles = self.records[-1][0] - self.records[0][0]
+        if span_cycles <= 0:
+            return 0.0
+        return sum(b for _, b in self.records) / span_cycles
+
+
+#: Unsorted completion times (a pipe's records arrive out of order),
+#: sizes from 0 up to the column's limit, and each record's busy cycles.
+RECORDS = st.lists(st.tuples(st.integers(0, 3000),
+                             st.integers(0, 2**32 - 1),
+                             st.integers(0, 100)), max_size=60)
+
+
+def typed(values):
+    """Values with their types, so ``1`` and ``1.0`` do not compare equal."""
+    if isinstance(values, list):
+        return [typed(v) for v in values]
+    if isinstance(values, tuple):
+        return tuple(typed(v) for v in values)
+    return type(values).__name__, values
+
+
+class TestColumnarTrackerEqualsTupleLog:
+    """Every reader of the columnar log returns the values, and the
+    types, a list of ``(time, bytes)`` tuples gives."""
+
+    @staticmethod
+    def queries(data, times):
+        """One call of each reader, on windows drawn around ``times``: at
+        record times and one past them, and bins from 1 cycle to more
+        than the whole span."""
+        edges = st.sampled_from(sorted({0, 3001, *times,
+                                        *(t + 1 for t in times)}))
+        point = st.one_of(st.integers(-5, 3005), edges)
+        start, end = data.draw(point), data.draw(point)
+        span = max(times, default=0) - min(times, default=0)
+        bin_cycles = data.draw(st.one_of(
+            st.just(1), st.integers(1, 200), st.just(span + 1),
+            st.integers(span + 1, 10 * span + 10)))
+        span_cycles = data.draw(st.integers(-3, 5000))
+        return [("binned", bin_cycles),
+                ("binned_window", start, end, bin_cycles),
+                ("window_bytes", start, end),
+                ("average_gbps",),
+                ("average_gbps", span_cycles)]
+
+    @given(records=RECORDS, split=st.integers(0, 60), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_reader_matches(self, records, split, data):
+        columns, oracle = BandwidthTracker(), ListTracker()
+        # Reading half-way must not stop the columns from growing.
+        for part in (records[:split], records[split:]):
+            for time, nbytes, busy in part:
+                columns.record(time, nbytes, busy)
+                oracle.record(time, nbytes)
+            for name, *args in self.queries(
+                    data, [t for t, _ in oracle.records]):
+                assert (typed(getattr(columns, name)(*args))
+                        == typed(getattr(oracle, name)(*args))), name
+        assert len(columns._times) == len(records)
+        assert columns.total_bytes == sum(b for _, b, _ in records)
+        assert columns.busy_cycles == sum(c for _, _, c in records)
+
+    @pytest.mark.parametrize("records", [[], [(7, 64)]])
+    def test_no_record_and_one_record(self, records):
+        columns, oracle = BandwidthTracker(), ListTracker()
+        for time, nbytes in records:
+            columns.record(time, nbytes)
+            oracle.record(time, nbytes)
+        for start, end in [(0, 0), (7, 7), (7, 8), (0, 7), (8, 20), (-1, 99)]:
+            for bins in (1, 3, 1000):
+                assert (typed(columns.binned_window(start, end, bins))
+                        == typed(oracle.binned_window(start, end, bins)))
+                assert (typed(columns.binned(bins))
+                        == typed(oracle.binned(bins)))
+            assert (typed(columns.window_bytes(start, end))
+                    == typed(oracle.window_bytes(start, end)))
+        assert typed(columns.average_gbps()) == typed(oracle.average_gbps())
+
+
 class TestIntervals:
     def test_mean_interval(self):
         it = IntervalTracker()

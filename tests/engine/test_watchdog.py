@@ -5,6 +5,7 @@ import pytest
 from repro.engine.simulator import SimulationError, Simulator, StallReport
 from repro.engine.stats import StatsRegistry
 from repro.engine.watchdog import GCWatchdog
+from repro.memory.request import REQUEST_DESC, AccessKind, MemRequest
 
 
 class TestStallReport:
@@ -98,6 +99,26 @@ class TestDiagnosis:
         wd.note_submit("dram", "r", 5, "read 64B")
         report = wd.diagnose(sim, sim.event(), "stall")
         assert report.culprit == "dram"
+
+    def test_request_is_described_only_when_diagnosed(self, sim):
+        # Supervised components hand over the request, not its text; the
+        # report reads as if the text had been formatted at submit time.
+        wd = GCWatchdog().attach(sim)
+        req = MemRequest(0x1F40, 64, AccessKind.READ, source="marker")
+        wd.note_submit("dram", "r", 0, REQUEST_DESC, req)
+        wd.note_submit("tlb", "w", 0, "page walk for 0x{:x} ({})",
+                       0x4000, "gc-tlb")
+        assert wd.outstanding[("dram", "r")] == (0, REQUEST_DESC, (req,))
+        with pytest.raises(StallReport) as exc_info:
+            sim.run_until(sim.event())
+        text = (f"{req.kind.value} {req.size}B @0x{req.addr:x} "
+                f"from {req.source}")
+        assert exc_info.value.oldest_request == (
+            f"{text} (submitted at cycle 0, 0 cycles in flight)")
+        wd.note_complete("dram", "r")
+        assert wd._find_culprit(20, {}) == (
+            "tlb", "page walk for 0x4000 (gc-tlb) "
+                   "(submitted at cycle 0, 20 cycles in flight)")
 
     def test_crashing_probe_reports_minus_one(self, sim):
         wd = GCWatchdog().attach(sim)

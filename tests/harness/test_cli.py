@@ -98,6 +98,21 @@ class TestCLI:
         assert err.startswith(start)
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "avrora", "--scale", "0.005"],
+        ["trace", "avrora", "--scale", "0.005"],
+        ["fleet", "--scale", "0.005", "--tenants", "2", "--queries", "200",
+         "--warmup", "20"],
+    ])
+    def test_bad_hwfault_env_is_refused_by_name(self, capsys, monkeypatch,
+                                                argv):
+        monkeypatch.setenv("REPRO_HWFAULTS", "bogus")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "REPRO_HWFAULTS='bogus': bad hwfault 'bogus'" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag,value,shown", [
         ("--timeout", "-1", "-1"),
         ("--timeout", "0", "0"),

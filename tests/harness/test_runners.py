@@ -1,5 +1,8 @@
 """Harness plumbing: comparisons are self-checking."""
 
+import sys
+from array import array
+
 import pytest
 
 from repro.core.config import GCUnitConfig
@@ -28,6 +31,22 @@ class TestRunners:
         assert comp.sweep_speedup > 1.0
         assert comp.overall_speedup > 1.0
         assert "avrora" in comp.summary()
+
+    def test_bandwidth_log_keeps_at_most_16_bytes_per_request(self):
+        """An untraced run keeps one time and one size per memory
+        transaction in typed columns; no container grows per request."""
+        profile = DACAPO_PROFILES["avrora"]
+        built = build_heap(profile, scale=0.01, seed=1)
+        run_gc_comparison(profile, built=built)
+        bw = built[0].heap.memsys.bandwidth
+        requests = len(bw._times)
+        assert requests > 10_000
+        held = 0
+        for name, value in vars(bw).items():
+            assert not isinstance(value, (list, tuple, dict, set)), name
+            if isinstance(value, array):
+                held += sys.getsizeof(value)
+        assert held <= 16 * requests
 
     def test_run_software_returns_stat_delta(self, prepared):
         built, cp = prepared

@@ -8,6 +8,8 @@ allocator state, and it must stay identical through what the mutator
 does next (one more ``alloc``; a collection, then ``refresh_free_lists``).
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,11 @@ def assert_twins(bulk, loop):
 
 def twins(shapes):
     """(bulk heap, loop heap) after allocating ``shapes`` each way."""
+    # A collected heap is a reference cycle (simulator processes and the
+    # components they drive), freed only by a full collection: free the
+    # previous example's twins now, so shrinking a failure holds two
+    # heaps at a time, not hundreds.
+    gc.collect()
     config = MemorySystemConfig(total_bytes=SMALL_MEM)
     bulk, loop = ManagedHeap(config=config), ManagedHeap(config=config)
     addrs = bulk.alloc_many(*(list(zip(*shapes)) or ([], [], [])))
